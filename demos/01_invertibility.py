@@ -12,7 +12,6 @@ from setpack import (
     check_disjoint_criterion,
     check_halfsize_conditions,
     check_triple,
-    conflict_graph,
     decide_invertible,
     inverts,
 )
@@ -31,11 +30,8 @@ c = Collection.of(4, [[0, 1], [0, 2], [0, 3]])
 result = decide_invertible(c)
 print("invertible:", result.invertible)
 print("deficient set of left vertices:", result.certificate.elements())
-g = conflict_graph(c)
-nbhd = set()
-for i in result.certificate:
-    nbhd.update(g.adjacency[i].elements())
-print(f"its neighbourhood {sorted(nbhd)} is smaller: "
+nbhd = result.neighbourhood.elements()
+print(f"its neighbourhood {nbhd} is smaller: "
       f"{len(nbhd)} < {result.certificate.cardinality()}")
 
 print()

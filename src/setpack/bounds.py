@@ -148,6 +148,26 @@ def _log_comb(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
+def _reduced_cap(n: int, cn_size: int, alpha, d_count: int, e_count: int) -> int:
+    """Validate the witness window and return the reduced (1-a)/(c-a) cap, rounded up."""
+    for name, v in (("cn_size", cn_size), ("d_count", d_count), ("e_count", e_count)):
+        if not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer element count")
+    alpha = Fraction(alpha)
+    if not 0 <= d_count < cn_size <= e_count <= n:
+        raise ValueError("need 0 <= dn < cn <= en <= n (a non-degenerate witness window)")
+    c = Fraction(cn_size, n)
+    d = Fraction(d_count, n)
+    e = Fraction(e_count, n)
+    if d > alpha * c:
+        raise ValueError("need d <= alpha*c")
+    c_red = (c - d) / (e - d)
+    a_red = (alpha * c - d) / (c - d)
+    if not a_red < c_red:
+        raise ValueError("hypothesis (alpha*c-d)/(c-d) < (c-d)/(e-d) violated")
+    return ceil((1 - a_red) / (c_red - a_red))
+
+
 def finite_n_upper_bound(
     n: int, cn_size: int, alpha, d_count: int, e_count: int
 ) -> Fraction | float:
@@ -163,54 +183,26 @@ def finite_n_upper_bound(
     Exact rational for n within the big-integer limit, log-gamma floats
     beyond.
     """
-    for name, v in (("cn_size", cn_size), ("d_count", d_count), ("e_count", e_count)):
-        if not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer element count")
-    alpha = Fraction(alpha)
-    if not (0 <= d_count and e_count <= n and e_count >= cn_size >= d_count):
-        raise ValueError("need 0 <= dn <= cn <= en <= n")
-    if e_count == d_count:
-        raise ValueError("need en > dn (a non-degenerate witness window)")
-    c = Fraction(cn_size, n)
-    d = Fraction(d_count, n)
-    e = Fraction(e_count, n)
-    if d > alpha * c:
-        raise ValueError("need d <= alpha*c")
-    c_red = (c - d) / (e - d)
-    a_red = (alpha * c - d) / (c - d)
-    if not a_red < c_red:
-        raise ValueError("hypothesis (alpha*c-d)/(c-d) < (c-d)/(e-d) violated")
-    cap = ceil((1 - a_red) / (c_red - a_red))
-
-    ed_count = e_count - d_count
-    ec_count = e_count - cn_size
-    if n <= EXACT_BINOMIAL_LIMIT:
-        # identity C(i,j) C(i-j,k-j) = C(i,k) C(k,j) underpins the counting step
-        i, j, k = n, d_count, e_count
-        assert comb(i, j) * comb(i - j, k - j) == comb(i, k) * comb(k, j)
-        return Fraction(comb(n, cn_size) * cap, comb(ed_count, ec_count))
-    log_value = _log_comb(n, cn_size) + log(cap) - _log_comb(ed_count, ec_count)
-    if log_value > 700.0:  # exp would overflow: hand back the log instead
-        raise OverflowError(
-            f"bound exceeds float range (log {log_value:.6g}); "
-            "use finite_n_upper_bound_log"
-        )
-    return exp(log_value)
+    if n > EXACT_BINOMIAL_LIMIT:
+        log_value = finite_n_upper_bound_log(n, cn_size, alpha, d_count, e_count)
+        if log_value > 700.0:  # exp would overflow: hand back the log instead
+            raise OverflowError(
+                f"bound exceeds float range (log {log_value:.6g}); "
+                "use finite_n_upper_bound_log"
+            )
+        return exp(log_value)
+    cap = _reduced_cap(n, cn_size, alpha, d_count, e_count)
+    # identity C(i,j) C(i-j,k-j) = C(i,k) C(k,j) underpins the counting step
+    i, j, k = n, d_count, e_count
+    assert comb(i, j) * comb(i - j, k - j) == comb(i, k) * comb(k, j)
+    return Fraction(comb(n, cn_size) * cap, comb(e_count - d_count, e_count - cn_size))
 
 
 def finite_n_upper_bound_log(n: int, cn_size: int, alpha, d_count: int, e_count: int) -> float:
     """Natural log of finite_n_upper_bound, safe for bounds beyond float range."""
     if n <= EXACT_BINOMIAL_LIMIT:
         return log(float(finite_n_upper_bound(n, cn_size, alpha, d_count, e_count)))
-    alpha = Fraction(alpha)
-    c = Fraction(cn_size, n)
-    d = Fraction(d_count, n)
-    e = Fraction(e_count, n)
-    c_red = (c - d) / (e - d)
-    a_red = (alpha * c - d) / (c - d)
-    if not a_red < c_red:
-        raise ValueError("hypothesis (alpha*c-d)/(c-d) < (c-d)/(e-d) violated")
-    cap = ceil((1 - a_red) / (c_red - a_red))
+    cap = _reduced_cap(n, cn_size, alpha, d_count, e_count)
     return _log_comb(n, cn_size) + log(cap) - _log_comb(e_count - d_count, e_count - cn_size)
 
 

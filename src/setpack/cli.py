@@ -2,7 +2,8 @@
 
 Exit codes: 0 positive result, 1 negative result (not invertible,
 verification failed, condition violated), 2 usage error, 3 unreadable or
-malformed input file.  Output is deterministic: floats at 6 significant
+malformed input file, 4 internal failure (a library self-check failed or
+memory ran out).  Output is deterministic: floats at 6 significant
 digits, exact rationals as p/q; --json emits one document with the same
 values.
 """
@@ -72,21 +73,18 @@ def _cmd_invert(args, out: Outcome):
         }
     else:
         cert = result.certificate
-        g = invert.conflict_graph(col)
-        nbhd = 0
-        for i in cert:
-            nbhd |= g.adjacency[i].bits
+        nbhd = result.neighbourhood.cardinality()
         out.say("NOT INVERTIBLE")
         out.say(" ".join(map(str, cert.elements())))
         out.say(
             f"verified: certificate has {cert.cardinality()} vertices but "
-            f"only {nbhd.bit_count()} neighbours"
+            f"only {nbhd} neighbours"
         )
         out.doc = {
             "invertible": False,
             "certificate": cert.elements(),
             "certificate_size": cert.cardinality(),
-            "neighbourhood_size": nbhd.bit_count(),
+            "neighbourhood_size": nbhd,
         }
         out.code = 1
 
@@ -381,6 +379,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     if args.json:
         out.doc["exit_code"] = out.code
         print(json.dumps(out.doc, indent=2))

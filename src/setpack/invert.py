@@ -6,7 +6,9 @@ once.  Invertibility is equivalent to a perfect matching in the conflict
 graph: two copies of the ground set, with (i, j) an edge iff no member
 set contains both i and j.  A perfect matching read as i -> match[i] is
 exactly an inverting permutation, and a failed matching yields a Hall
-violator certificate (a left set I with |N(I)| < |I|).
+violator certificate (a left set I with |N(I)| < |I|).  The certificate
+comes from the alternating-path walk that also gives König's minimum
+vertex cover (``alternating_reach``, shared with the hypercube doubling).
 
 Adjacency is kept as bit vectors so the dense conflict graphs scan a
 whole neighbourhood per word; the matching itself is a layered
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .setcore import Collection, Permutation, Subset, inverts, iter_bits
 
@@ -35,20 +36,23 @@ class ConflictGraph:
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency must list one row per left vertex")
 
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].cardinality()
-
 
 @dataclass(frozen=True)
 class MatchingResult:
-    """Either a perfect matching as a Permutation or a Hall violator."""
+    """Either a perfect matching as a Permutation or a Hall violator.
+
+    A certificate I comes with its neighbourhood N(I), |N(I)| < |I|.
+    """
 
     matched: Permutation | None
     certificate: Subset | None
+    neighbourhood: Subset | None = None
 
     def __post_init__(self):
         if (self.matched is None) == (self.certificate is None):
             raise ValueError("exactly one of matched/certificate must be present")
+        if (self.certificate is None) != (self.neighbourhood is None):
+            raise ValueError("neighbourhood must be present exactly with a certificate")
 
     @property
     def invertible(self) -> bool:
@@ -125,48 +129,54 @@ def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int],
     return match_l, match_r
 
 
-def _hall_violator(adj: Sequence[int], match_l: list[int], match_r: list[int], start: int) -> int:
-    """Left vertices alternating-reachable from the unmatched vertex ``start``.
+def alternating_reach(
+    adj: Sequence[int], match_r: Sequence[int], starts: Iterable[int]
+) -> tuple[int, int]:
+    """(left, right) bitmasks alternating-reachable from the left ``starts``.
 
-    Every right neighbour of the returned set is matched (else an
-    augmenting path existed), and matched back inside it, so the set has
-    exactly |I| - 1 neighbours.
+    The walk leaves a left vertex along any edge and returns along a
+    matching edge.  Started from free left vertices of a maximum matching,
+    every reached right vertex is matched (else an augmenting path
+    existed), so ``right`` is exactly N(left): the left side of König's
+    cover is everything outside ``left``, the right side is ``right``.
     """
-    left = 1 << start
-    right_seen = 0
-    frontier = [start]
+    frontier = list(starts)
+    left = 0
+    for u in frontier:
+        left |= 1 << u
+    right = 0
     while frontier:
         reach = 0
         for u in frontier:
             reach |= adj[u]
-        reach &= ~right_seen
-        right_seen |= reach
+        reach &= ~right
+        right |= reach
         frontier = []
         for j in iter_bits(reach):
             w = match_r[j]
-            assert w != -1, "free right vertex reachable from a free left vertex"
+            if w == -1:
+                raise RuntimeError("free right vertex reachable: the matching is not maximum")
             if not (left >> w) & 1:
                 left |= 1 << w
                 frontier.append(w)
-    return left
+    return left, right
 
 
 def maximum_matching(g: ConflictGraph) -> MatchingResult:
     """Perfect matching as a Permutation, or a deterministic Hall violator.
 
-    The certificate is grown from the lowest-index unmatched left vertex.
+    The certificate is grown from the lowest-index unmatched left vertex;
+    every right neighbour is matched back inside it, so it has exactly
+    |I| - 1 neighbours.
     """
     adj = [row.bits for row in g.adjacency]
     match_l, match_r = max_bipartite_matching(adj, g.n)
-    unmatched = [u for u in range(g.n) if match_l[u] == -1]
-    if not unmatched:
+    if -1 not in match_l:
         return MatchingResult(Permutation(g.n, tuple(match_l)), None)
-    violator = _hall_violator(adj, match_l, match_r, unmatched[0])
-    neighbourhood = 0
-    for u in iter_bits(violator):
-        neighbourhood |= adj[u]
-    assert neighbourhood.bit_count() < violator.bit_count()
-    return MatchingResult(None, Subset(g.n, violator))
+    violator, neighbourhood = alternating_reach(adj, match_r, [match_l.index(-1)])
+    if neighbourhood.bit_count() >= violator.bit_count():
+        raise RuntimeError("certificate postcondition violated: not a Hall violator")
+    return MatchingResult(None, Subset(g.n, violator), Subset(g.n, neighbourhood))
 
 
 def decide_invertible(c: Collection) -> MatchingResult:
@@ -276,22 +286,3 @@ def check_halfsize_conditions(c: Collection) -> bool:
     counts = membership_signatures(c)
     full = (1 << len(c.sets)) - 1
     return all(counts.get(full ^ sig, 0) == cnt for sig, cnt in counts.items())
-
-
-def all_pairs_invertible(n: int, max_size: int | None = None) -> bool:
-    """Exhaustively confirm that any two sets of size <= n/2 are invertible.
-
-    Test helper for the half-size pair property; quadratic in the number
-    of admissible subsets, so keep n small.
-    """
-    cap = n // 2 if max_size is None else max_size
-    admissible = []
-    for size in range(cap + 1):
-        admissible.extend(
-            sum(1 << x for x in combo) for combo in combinations(range(n), size)
-        )
-    for b1, b2 in combinations(admissible, 2):
-        c = Collection(n, (Subset(n, b1), Subset(n, b2)))
-        if not decide_invertible(c).invertible:
-            return False
-    return True

@@ -82,7 +82,6 @@ class PackingReport:
     threshold: Fraction
     block_size: int
     distinct: bool
-    equal_sized: bool
     worst_pair: tuple[int, int] | None = None
 
     def summary(self) -> str:
@@ -123,11 +122,10 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     """
     size = f.block_size
     threshold = f.declared_alpha * size
-    equal_sized = True  # enforced by the type
     count = len(f.blocks)
     distinct = len({b.bits for b in f.blocks}) == count
     if count < 2:
-        return PackingReport(distinct, 0, 0, threshold, size, distinct, equal_sized)
+        return PackingReport(distinct, 0, 0, threshold, size, distinct)
 
     a = np.zeros((count, f.n), dtype=np.float32)
     for i, b in enumerate(f.blocks):
@@ -141,7 +139,7 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     max_int = int(gram.max())
     pairs = count * (count - 1) // 2
     ok = distinct and Fraction(max_int) < threshold
-    return PackingReport(ok, pairs, max_int, threshold, size, distinct, equal_sized, worst)
+    return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .invert import max_bipartite_matching
+from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
 from .setcore import Collection, FormatError, Permutation, Subset, iter_bits
 
@@ -115,30 +115,15 @@ def _min_vertex_cover(n: int, residual: Iterable[Edge]) -> set[int]:
     for u, w in pairs:
         adj[even_index[u]] |= 1 << odd_index[w]
     match_l, match_r = max_bipartite_matching(adj, len(odds))
-    matched = sum(1 for x in match_l if x != -1)
-
-    # alternating reachability from unmatched even vertices
-    reach_l = 0
-    reach_r = 0
-    frontier = [i for i in range(len(evens)) if match_l[i] == -1]
-    for i in frontier:
-        reach_l |= 1 << i
-    while frontier:
-        new_r = 0
-        for i in frontier:
-            new_r |= adj[i] & ~reach_r
-        reach_r |= new_r
-        frontier = []
-        for j in iter_bits(new_r):
-            i = match_r[j]
-            if i != -1 and not (reach_l >> i) & 1:
-                reach_l |= 1 << i
-                frontier.append(i)
+    free = [i for i, x in enumerate(match_l) if x == -1]
+    reach_l, reach_r = alternating_reach(adj, match_r, free)
     cover = {evens[i] for i in range(len(evens)) if not (reach_l >> i) & 1}
     cover |= {odds[j] for j in iter_bits(reach_r)}
-    assert len(cover) == matched, "cover size must equal the matching size"
+    if len(cover) != len(evens) - len(free):
+        raise RuntimeError("cover size differs from the matching size")
     for v, d in residual:
-        assert v in cover or (v ^ (1 << d)) in cover
+        if v not in cover and v ^ (1 << d) not in cover:
+            raise RuntimeError(f"cover misses residual edge ({v}, {d})")
     return cover
 
 
@@ -180,8 +165,8 @@ def recursive_blocking_set(n: int, limit: int = DEFAULT_SQUARE_LIMIT) -> CubeEdg
     m = CubeEdgeSet(2, frozenset({(0, 0)}))
     for dim in range(2, n):
         m = _double(m, m.edges)
-    if n <= limit:
-        assert is_square_blocking(m, limit)
+    if n <= limit and not is_square_blocking(m, limit):
+        raise RuntimeError(f"doubled set does not block every square of Q_{n}")
     return m
 
 
@@ -227,8 +212,8 @@ def inversion_assisted_blocking(
     assisted = _double(base, permuted)
 
     result = assisted if len(assisted) < len(plain) else plain
-    if n <= limit:
-        assert is_square_blocking(result, limit)
+    if n <= limit and not is_square_blocking(result, limit):
+        raise RuntimeError(f"assisted set does not block every square of Q_{n}")
     return result, len(plain) - len(result)
 
 

@@ -172,6 +172,18 @@ def test_finite_n_bound_validation():
     with pytest.raises(ValueError):
         finite_n_upper_bound(10, 3, Fraction(1, 3), 0.5, 10)  # non-integer dn
 
+    # beyond the big-integer limit both public entry points validate the same way
+    from setpack.bounds import finite_n_upper_bound_log
+
+    for args in (
+        (20000, 3000, Fraction(1, 3), 1500, 9000),  # d > alpha*c
+        (20000, 500, Fraction(1, 3), 500, 500),  # en == dn
+        (20000, 3000.5, Fraction(1, 3), 500, 9000),  # non-integer cn
+    ):
+        for f in (finite_n_upper_bound, finite_n_upper_bound_log):
+            with pytest.raises(ValueError):
+                f(*args)
+
 
 def test_finite_n_bound_lgamma_path():
     from math import ceil

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from setpack import kappa
 from setpack.cli import main, parse_ratio
+from setpack.setcore import Permutation
 from fractions import Fraction
 
 
@@ -82,6 +84,23 @@ def test_kappa(tmp_path, capsys):
 
     code, out = run(capsys, "kappa", "--input", str(f), "--exhaustive", "--simple-only")
     assert code == 0 and "inverts 8 of 10" in out
+
+
+def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "c.txt"
+    f.write_text("4\n0\n1\n")
+
+    def broken(col):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(kappa, "find_simple_permutation", broken)
+    assert main(["kappa", "--input", str(f)]) == 4
+    assert "internal error: boom" in capsys.readouterr().err
+
+    # a miscounting search fails the command's own recount
+    monkeypatch.setattr(kappa, "find_simple_permutation", lambda col: (Permutation.identity(4), 2))
+    assert main(["kappa", "--input", str(f)]) == 4
+    assert "internal error: self-check failed" in capsys.readouterr().err
 
 
 def test_pack_build_verify_roundtrip(tmp_path, capsys):

@@ -15,7 +15,7 @@ from setpack import (
     inverts,
     maximum_matching,
 )
-from setpack.invert import all_pairs_invertible, max_bipartite_matching
+from setpack.invert import MatchingResult, max_bipartite_matching
 
 from oracles import naive_invertible, random_collection
 
@@ -49,6 +49,9 @@ def test_matching_two_points():
     r = maximum_matching(conflict_graph(Collection.of(2, [[0, 1]])))
     assert not r.invertible
     assert r.certificate.cardinality() >= 1
+    assert r.neighbourhood.cardinality() == 0
+    with pytest.raises(ValueError):
+        MatchingResult(None, r.certificate)
 
     r = maximum_matching(conflict_graph(Collection.of(3, [])))
     assert r.invertible
@@ -107,6 +110,7 @@ def test_certificate_is_hall_violator():
         for i in r.certificate:
             nbhd |= g.adjacency[i].bits
         assert nbhd.bit_count() < r.certificate.cardinality()
+        assert r.neighbourhood.bits == nbhd
 
 
 def test_soundness_returned_permutation_inverts_all():
@@ -199,6 +203,20 @@ def test_halfsize_equals_brute_force_exhaustively():
                 assert check_halfsize_conditions(c) == (
                     brute_force_invertible(c) is not None
                 ), f"n={n} sets={[s.elements() for s in c.sets]}"
+
+
+def all_pairs_invertible(n: int) -> bool:
+    """Exhaustively confirm that any two sets of size <= n/2 are invertible."""
+    admissible = []
+    for size in range(n // 2 + 1):
+        admissible.extend(
+            sum(1 << x for x in combo) for combo in combinations(range(n), size)
+        )
+    for b1, b2 in combinations(admissible, 2):
+        c = Collection(n, (Subset(n, b1), Subset(n, b2)))
+        if not decide_invertible(c).invertible:
+            return False
+    return True
 
 
 def test_any_two_halfsize_sets_invertible():

@@ -1,5 +1,6 @@
 import pytest
 
+from setpack import qcube
 from setpack import (
     CubeEdgeSet,
     enumerate_squares,
@@ -77,6 +78,23 @@ def test_min_vertex_cover():
     assert len(cover) == 4
     for v, d in all_edges(3):
         assert v in cover or (v ^ (1 << d)) in cover
+
+
+def test_self_checks_raise(monkeypatch):
+    # the checks are explicit raises, so they also hold under python -O;
+    # only Q_4 fails, so the assisted call gets past its Q_3 base
+    monkeypatch.setattr(qcube, "is_square_blocking", lambda m, limit: m.n < 4)
+    with pytest.raises(RuntimeError):
+        recursive_blocking_set(4)
+    with pytest.raises(RuntimeError):
+        inversion_assisted_blocking(4)
+    monkeypatch.undo()
+    # a matching that is not maximum leaves a free vertex reachable
+    monkeypatch.setattr(
+        qcube, "max_bipartite_matching", lambda adj, n_right: ([-1] * len(adj), [-1] * n_right)
+    )
+    with pytest.raises(RuntimeError):
+        _min_vertex_cover(2, [(0, 0)])
 
 
 def test_recursive_blocking_sizes_and_validity():
