@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import ceil
 
@@ -37,6 +38,32 @@ def parse_ratio(text: str) -> Fraction:
         return Fraction(text).limit_denominator(MAX_RATIO_DENOMINATOR)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a ratio: {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+@contextmanager
+def exact_int_output():
+    """Lift the interpreter's cap on int-to-decimal conversion (4300 digits
+    by default; absent before Python 3.10.7) while exact results are
+    written, and restore it afterwards.  Input parsing keeps the cap."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _read(path: str) -> str:
@@ -102,13 +129,15 @@ def _cmd_triple(args, out: Outcome):
 
 def _cmd_sigma(args, out: Outcome):
     value = kappa.sigma(args.n)
-    out.say(str(value))
+    with exact_int_output():
+        out.say(str(value))
     out.doc = {"n": args.n, "sigma": value}
 
 
 def _cmd_lambda(args, out: Outcome):
     value = kappa.lambda_simple(args.n, args.i)
-    out.say(str(value))
+    with exact_int_output():
+        out.say(str(value))
     out.doc = {"n": args.n, "i": args.i, "lambda": value}
 
 
@@ -121,7 +150,7 @@ def _cmd_kappa(args, out: Outcome):
     if oversized:
         out.say(f"note: {oversized} sets exceed floor(n/2) and can never be inverted")
     if args.exhaustive:
-        limit = args.limit if args.limit else kappa.DEFAULT_EXHAUSTIVE_LIMIT
+        limit = args.limit or kappa.DEFAULT_EXHAUSTIVE_LIMIT
         perm, count = kappa.exhaustive_kappa(col, args.simple_only, limit=limit)
         label = "exhaustive optimum (simple only)" if args.simple_only else "exhaustive optimum"
     else:
@@ -253,7 +282,7 @@ def _cmd_bounds_optimum(args, out: Outcome):
 
 
 def _cmd_cube_build(args, out: Outcome):
-    limit = args.limit if args.limit else qcube.DEFAULT_SQUARE_LIMIT
+    limit = args.limit or qcube.DEFAULT_SQUARE_LIMIT
     if args.assist:
         m, saved = qcube.inversion_assisted_blocking(args.n, limit)
         out.say(f"assisted blocking set for Q_{args.n}: {len(m)} edges (saved {saved})")
@@ -281,7 +310,7 @@ def _cmd_cube_verify(args, out: Outcome):
     m = qcube.parse_cube_edges(_read(args.edges))
     if m.n != args.n:
         raise setcore.FormatError(f"file is for Q_{m.n}, not Q_{args.n}")
-    limit = args.limit if args.limit else qcube.DEFAULT_SQUARE_LIMIT
+    limit = args.limit or qcube.DEFAULT_SQUARE_LIMIT
     ok = qcube.is_square_blocking(m, limit)
     out.say(f"{len(m)} edges: " + ("square-blocking" if ok else "NOT square-blocking"))
     out.doc = {"n": m.n, "edges": len(m), "square_blocking": ok}
@@ -294,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="set inversion, packing construction and bound calculators",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument("--limit", type=int, default=None, help="override enumeration caps")
+    parser.add_argument(
+        "--limit", type=positive_int, default=None, help="override enumeration caps (N > 0)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invert", help="decide invertibility of a collection")
@@ -384,7 +415,8 @@ def main(argv=None) -> int:
         return 4
     if args.json:
         out.doc["exit_code"] = out.code
-        print(json.dumps(out.doc, indent=2))
+        with exact_int_output():
+            print(json.dumps(out.doc, indent=2))
     else:
         for line in out.lines:
             print(line)

@@ -1,9 +1,22 @@
 """Deliberately naive reference implementations used to cross-check the
-library.  Everything here enumerates; nothing shares code or shortcuts
-with the implementations under test."""
+library.  Everything here enumerates and shares no shortcuts with the
+implementations under test, except naive_find_simple_permutation: the
+derandomized search in its original one-candidate-at-a-time form, which
+uses only the library's counting functions lambda_simple and sigma (both
+checked against enumeration in test_kappa)."""
 from itertools import combinations, permutations
+from math import ceil
 
-from setpack import Collection, Permutation, Subset, inverts
+from setpack import (
+    Collection,
+    Permutation,
+    SizeProfile,
+    Subset,
+    inverts,
+    kappa_lower_bound,
+    lambda_simple,
+    sigma,
+)
 
 
 def naive_invertible(c: Collection):
@@ -68,3 +81,86 @@ def subsets_of_size_at_most(n: int, cap: int):
     for size in range(cap + 1):
         for combo in combinations(range(n), size):
             yield sum(1 << x for x in combo)
+
+
+_FIXED = -1  # virtual partner: anchor stays a fixed point
+
+
+def naive_find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
+    """setpack.find_simple_permutation as first written, kept verbatim as
+    its reference: one pure-Python pass over all m sets for every candidate
+    partner at every step, O(n^2 m).  The lowest free element a is paired
+    with the partner b (or left fixed) whose branch has the largest exact
+    conditional-expectation numerator; the first maximum wins."""
+    n = c.n
+    lam = [[lambda_simple(f, u) for u in range(f + 1)] for f in range(n + 1)]
+    sig = [sigma(f) for f in range(n + 1)]
+
+    set_bits = [s.bits for s in c.sets]
+    alive = [True] * len(set_bits)
+    ucount = [s.cardinality() for s in c.sets]
+
+    free = list(range(n))
+    image = list(range(n))
+
+    def branch_numerator(a_in: list[bool], b: int, f2: int) -> int:
+        num = 0
+        if b == _FIXED:
+            for t in range(len(set_bits)):
+                if alive[t] and not a_in[t]:
+                    num += lam[f2][ucount[t]]
+        else:
+            for t, bits in enumerate(set_bits):
+                if not alive[t]:
+                    continue
+                b_in = (bits >> b) & 1
+                if a_in[t] and b_in:
+                    continue  # 2-cycle inside the set: dead
+                num += lam[f2][ucount[t] - a_in[t] - b_in]
+        return num
+
+    while free:
+        f = len(free)
+        pre_num = sum(lam[f][u] for t, u in enumerate(ucount) if alive[t])
+        a = free[0]
+        a_in = [bool((bits >> a) & 1) for bits in set_bits]
+
+        best_b = None
+        best_num = -1
+        best_f2 = f - 2
+        for b in free[1:]:
+            num = branch_numerator(a_in, b, f - 2)
+            if num > best_num:
+                best_b, best_num = b, num
+        if f % 2 == 1:
+            num = branch_numerator(a_in, _FIXED, f - 1)
+            # different denominator: compare num/sig[f-1] with best/sig[f-2]
+            if best_b is None or num * sig[f - 2] > best_num * sig[f - 1]:
+                best_b, best_num, best_f2 = _FIXED, num, f - 1
+
+        assert best_b is not None
+        # conditional expectation may only rise: best/sig[f2] >= pre/sig[f]
+        assert best_num * sig[f] >= pre_num * sig[best_f2], "greedy step lost expectation"
+
+        if best_b == _FIXED:
+            for t, bits in enumerate(set_bits):
+                if alive[t] and a_in[t]:
+                    alive[t] = False
+            free = free[1:]
+        else:
+            image[a], image[best_b] = best_b, a
+            for t, bits in enumerate(set_bits):
+                if not alive[t]:
+                    continue
+                b_in = (bits >> best_b) & 1
+                if a_in[t] and b_in:
+                    alive[t] = False
+                else:
+                    ucount[t] -= a_in[t] + b_in
+            free = [x for x in free[1:] if x != best_b]
+
+    perm = Permutation(n, tuple(image), is_simple=True)
+    count = sum(1 for s in c.sets if inverts(perm, s))
+    bound = kappa_lower_bound(SizeProfile.from_collection(c))
+    assert count >= ceil(bound), "derandomization guarantee violated"
+    return perm, count

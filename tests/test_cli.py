@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,38 @@ def test_sigma_lambda(capsys):
     assert code == 0 and out.strip() == "15"
     code, out = run(capsys, "lambda", "6", "3")
     assert code == 0 and out.strip() == "6"
+
+
+def test_sigma_lambda_beyond_int_digit_limit(capsys):
+    # exact values longer than the interpreter's default int-to-str cap
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        sigma_digits = len(str(kappa.sigma(3000)))
+        lambda_digits = len(str(kappa.lambda_simple(4000, 3)))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert sigma_digits > old > 0
+
+    code, out = run(capsys, "sigma", "3000")
+    assert code == 0 and len(out.strip()) == sigma_digits
+    code, out = run(capsys, "lambda", "4000", "3")
+    assert code == 0 and len(out.strip()) == lambda_digits
+    code, out = run(capsys, "--json", "sigma", "3000")
+    assert code == 0
+    assert len(out.split('"sigma": ')[1].split(",")[0]) == sigma_digits
+    # the cap is back once the output is written
+    assert sys.get_int_max_str_digits() == old
+
+
+def test_limit_must_be_positive(capsys):
+    for value in ("-1", "0", "x"):
+        with pytest.raises(SystemExit) as e:
+            main(["--limit", value, "cube", "build", "--n", "5"])
+        assert e.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+    code, out = run(capsys, "--limit", "4", "cube", "build", "--n", "5")
+    assert code == 0 and "verification skipped (n over limit)" in out
 
 
 def test_kappa(tmp_path, capsys):

@@ -16,9 +16,16 @@ from setpack import (
     lambda_simple,
     sigma,
 )
+from setpack import kappa
+from setpack.cli import main
 from setpack.kappa import oversized_count, simple_permutations
+from setpack.qcube import direction_collection, recursive_blocking_set
 
-from oracles import naive_simple_permutations, random_collection
+from oracles import (
+    naive_find_simple_permutation,
+    naive_simple_permutations,
+    random_collection,
+)
 
 
 def test_sigma_small_values():
@@ -177,3 +184,58 @@ def test_find_simple_deterministic():
         p1, c1 = find_simple_permutation(c)
         p2, c2 = find_simple_permutation(c)
         assert p1.image == p2.image and c1 == c2
+
+
+def _mixed_collection(rng, n: int, m: int) -> Collection:
+    """Random sets of every kind the search meets: empty, small, around
+    half the ground set and over half (never invertible)."""
+    sets = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1 or n == 0:
+            size = 0
+        elif kind < 0.25:
+            size = rng.randint(n // 2, n)
+        else:
+            size = rng.randint(1, max(1, n // 4))
+        sets.append(Subset.of(n, rng.sample(range(n), size)))
+    return Collection(n, tuple(sets))
+
+
+def test_find_simple_matches_reference_random():
+    rng = random.Random(15)
+    for trial in range(400):
+        n = trial % 71  # 0 .. 70, both parities
+        c = _mixed_collection(rng, n, rng.randint(0, 24))
+        p, count = find_simple_permutation(c)
+        q, expected = naive_find_simple_permutation(c)
+        assert p.image == q.image and count == expected, (n, c.m)
+
+
+def test_find_simple_matches_reference_on_cube_directions():
+    # the collections the assisted cube doubling hands to the search
+    for d in range(3, 13):
+        c = direction_collection(recursive_blocking_set(d))
+        p, count = find_simple_permutation(c)
+        q, expected = naive_find_simple_permutation(c)
+        assert p.image == q.image and count == expected, d
+
+
+def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):
+    # the checks are explicit raises, so they also hold under python -O
+    c = Collection.of(4, [[0], [1, 2]])
+    f = tmp_path / "c.txt"
+    f.write_text("4\n0\n1 2\n")
+    # a denominator that shrinks only at f = 4 makes the first step lose expectation
+    monkeypatch.setattr(kappa, "sigma", lambda f: 1 if f == 4 else 10**6)
+    with pytest.raises(RuntimeError, match="greedy step lost expectation"):
+        find_simple_permutation(c)
+    assert main(["kappa", "--input", str(f)]) == 4
+    assert "internal error: greedy step lost expectation" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a bound above the number of sets cannot be met
+    monkeypatch.setattr(kappa, "kappa_lower_bound", lambda p: Fraction(c.m + 1))
+    with pytest.raises(RuntimeError, match="derandomization guarantee violated"):
+        find_simple_permutation(c)
+    assert main(["kappa", "--input", str(f)]) == 4
+    assert "internal error: derandomization guarantee violated" in capsys.readouterr().err
