@@ -53,7 +53,6 @@ from .bounds import (
 )
 from .qcube import (
     CubeEdgeSet,
-    enumerate_squares,
     inversion_assisted_blocking,
     is_square_blocking,
     recursive_blocking_set,

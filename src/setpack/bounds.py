@@ -138,15 +138,13 @@ def upper_bound_entropy(c: float, alpha: float) -> EntropyBound:
         (1.0 - alpha, "1-alpha"),
         ((1.0 - 2.0 * c + c * alpha) / (1.0 - c), "(1-2c+c*alpha)/(1-c)"),
     ]
-    best: tuple[float, float, str] | None = None
+    scored = []
     for d_prime, label in candidates:
         if not 0.0 < d_prime < 1.0:
             raise ValueError(f"endpoint d'={d_prime} outside (0, 1)")
         bound = entropy(c) - c * (1.0 - alpha) / (d_prime * (1.0 - d_prime)) * entropy(d_prime)
-        if best is None or bound < best[0]:
-            best = (bound, d_prime, label)
-    assert best is not None
-    log_per_n, d_prime, label = best
+        scored.append((bound, d_prime, label))
+    log_per_n, d_prime, label = min(scored, key=lambda t: t[0])  # the first of equal minima
     return EntropyBound(log_per_n, exp(log_per_n), d_prime, label, True)
 
 
@@ -200,9 +198,9 @@ def finite_n_upper_bound(
             )
         return exp(log_value)
     cap = _reduced_cap(n, cn_size, alpha, d_count, e_count)
-    # identity C(i,j) C(i-j,k-j) = C(i,k) C(k,j) underpins the counting step
     i, j, k = n, d_count, e_count
-    assert comb(i, j) * comb(i - j, k - j) == comb(i, k) * comb(k, j)
+    if comb(i, j) * comb(i - j, k - j) != comb(i, k) * comb(k, j):
+        raise RuntimeError("the counting step's identity C(i,j) C(i-j,k-j) = C(i,k) C(k,j) failed")
     return Fraction(comb(n, cn_size) * cap, comb(e_count - d_count, e_count - cn_size))
 
 
@@ -248,8 +246,10 @@ def bound_report(alpha: float, c: float | None = None) -> BoundReport:
         )
     log_lower, base_lower = lower_bound_T(c, alpha)
     ub = upper_bound_entropy(c, alpha)
-    assert base_lower >= 1.0 - 1e-12
-    assert log_lower <= ub.log_per_n + 1e-9, "lower bound exceeded the upper bound"
+    if base_lower < 1.0 - 1e-12:
+        raise RuntimeError(f"lower bound base {base_lower} below 1")
+    if log_lower > ub.log_per_n + 1e-9:
+        raise RuntimeError("lower bound exceeded the upper bound")
     return BoundReport(
         alpha, c, c_star, log_lower, base_lower, None,
         ub.log_per_n, ub.base, ub.d_prime, ub.d_prime_label,

@@ -144,7 +144,8 @@ def exhaustive_kappa(
         count = sum(1 for s in c.sets if inverts(p, s))
         if count > best_count:
             best, best_count = p, count
-    assert best is not None, "at least the identity arrangement exists"
+    if best is None:
+        raise RuntimeError("no permutation enumerated; at least the identity exists")
     return best, best_count
 
 

@@ -108,7 +108,8 @@ def packing_graph_stats(n: int, cn_size: int, alpha) -> GraphStats:
     i_min = ceil(alpha * cn_size)
     total = sum(comb(cn_size, i) * comb(n - cn_size, cn_size - i) for i in range(i_min, cn_size + 1))
     d = total - 1 if i_min <= cn_size else 0
-    assert 0 <= d < big_n
+    if not 0 <= d < big_n:
+        raise RuntimeError(f"degree {d} outside [0, {big_n})")
     return GraphStats(n, cn_size, alpha, big_n, d)
 
 
@@ -173,7 +174,8 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         family = PackingFamily(
             n, tuple(Subset(n, 1 << x) for x in range(n)), alpha, Fraction(1, n)
         )
-        assert verify_packing(family).ok
+        if not verify_packing(family).ok:
+            raise RuntimeError("singleton base family fails its own check")
         trace = LevelTrace(n, n, alpha, True, False, 0, None, (), None, n, 1, None)
         return family, trace
 
@@ -186,7 +188,8 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         # no usable prime: stop the recursion here and hand back the
         # sub-family, which satisfies the stricter alpha/2 and hence alpha
         family = PackingFamily(p, sub_family.blocks, alpha, sub_family.achieved_c)
-        assert verify_packing(family).ok
+        if not verify_packing(family).ok:
+            raise RuntimeError("fallback family fails its own check")
         trace = LevelTrace(
             n, p, alpha, False, True, parts, None, (), None,
             len(sub_family.blocks), sub_family.block_size, sub_trace,
@@ -210,7 +213,8 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     block_size = parts * sub_family.block_size
     family = PackingFamily(used_n, tuple(blocks), alpha, Fraction(block_size, used_n))
     report = verify_packing(family)
-    assert report.ok, f"constructed family fails its own check: {report.summary()}"
+    if not report.ok:
+        raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
     trace = LevelTrace(
         n, used_n, alpha, False, False, parts, q, coeffs,
         tuple(constituents), len(blocks), block_size, sub_trace,
@@ -283,7 +287,8 @@ def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GR
     )
     if alpha <= 1:
         stats = packing_graph_stats(n, cn_size, alpha)
-        assert len(kept) * (stats.D + 1) >= stats.N, "greedy fell below the independence floor"
+        if len(kept) * (stats.D + 1) < stats.N:
+            raise RuntimeError("greedy fell below the independence floor")
     return family
 
 

@@ -1,12 +1,13 @@
 """Square-blocking edge sets in the hypercube.
 
 Q_n has the n-bit labels as vertices and one edge per (vertex, direction)
-pair; an edge is stored canonically with the direction bit cleared in its
-vertex label.  A square-blocking set meets every 4-cycle.  Q_{n+1} splits
-into two copies of Q_n joined by the cross matching W; a union
-N' + N'' + W' blocks all squares of Q_{n+1} exactly when N' and N'' block
-their copies and the endpoints of W' form a vertex cover of the edges of
-Q_n left uncovered by N' and the pullback of N''.
+pair, named by its endpoint with the direction bit clear.  An edge set is
+held as one bit vector per direction: bit v of the vector for direction d
+is the edge {v, v + 2^d}.  A square-blocking set meets every 4-cycle.
+Q_{n+1} splits into two copies of Q_n joined by the cross matching W; a
+union N' + N'' + W' blocks all squares of Q_{n+1} exactly when N' and N''
+block their copies and the endpoints of W' form a vertex cover of the
+edges of Q_n left uncovered by N' and the pullback of N''.
 
 The doubling construction takes N'' to be a mirror (or a direction-
 permuted mirror) of N' and picks W' from a minimum vertex cover obtained
@@ -18,95 +19,99 @@ hands to the derandomized inverting search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
-from .setcore import Collection, FormatError, Permutation, Subset, iter_bits
+from .setcore import Collection, FormatError, Permutation, Subset
 
 DEFAULT_SQUARE_LIMIT = 14
 
-Edge = tuple[int, int]  # (vertex label with direction bit clear, direction)
+
+def _clear(d: int, width: int) -> int:
+    """Mask of the vertices with bit d clear, covering at least [0, width)."""
+    mask = (1 << min(1 << d, width)) - 1  # the low half of each block of 2^(d+1)
+    span = 2 << d
+    while span < width:
+        mask |= mask << span
+        span *= 2
+    return mask
+
+
+def _bits_of(vertices: Sequence[int]) -> int:
+    """Bit vector with the bits at the given non-negative positions set."""
+    flags = np.zeros(max(vertices, default=-1) + 1, dtype=bool)
+    flags[vertices] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _vertices(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits >= 0``, in increasing order."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 @dataclass(frozen=True)
 class CubeEdgeSet:
-    """A set of hypercube edges in canonical (vertex, direction) form."""
+    """A set of hypercube edges: bit v of ``dirs[d]`` is the edge
+    {v, v + 2^d}, where v has bit d clear."""
 
     n: int
-    edges: frozenset[Edge]
+    dirs: tuple[int, ...]
 
     def __post_init__(self):
-        for v, d in self.edges:
-            if not 0 <= d < self.n:
-                raise ValueError(f"direction {d} outside [0, {self.n})")
-            if not 0 <= v < (1 << self.n) or (v >> d) & 1:
-                raise ValueError(f"edge ({v}, {d}) not in canonical form")
+        if self.n < 0 or len(self.dirs) != self.n:
+            raise ValueError(f"Q_{self.n} needs one bit vector per direction, got {len(self.dirs)}")
+        for d, bits in enumerate(self.dirs):
+            if bits < 0 or bits >> (1 << self.n) or bits & ~_clear(d, bits.bit_length()):
+                raise ValueError(f"direction {d}: not a set of canonical edges of Q_{self.n}")
+
+    @classmethod
+    def of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "CubeEdgeSet":
+        """From (vertex, direction) pairs, the direction bit clear in the vertex."""
+        vertices: list[list[int]] = [[] for _ in range(n)]
+        for v, d in edges:
+            if not (0 <= d < n and v >= 0 and not v >> n):
+                raise ValueError(f"edge ({v}, {d}) outside Q_{n}")
+            vertices[d].append(v)
+        return cls(n, tuple(_bits_of(vs) for vs in vertices))
 
     def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self.edges
-
-
-def canonical_edge(v: int, d: int) -> Edge:
-    return (v & ~(1 << d), d)
-
-
-def all_edges(n: int) -> Iterator[Edge]:
-    for v in range(1 << n):
-        for d in range(n):
-            if not (v >> d) & 1:
-                yield (v, d)
-
-
-def enumerate_squares(n: int, limit: int = DEFAULT_SQUARE_LIMIT) -> Iterator[tuple[int, int, int]]:
-    """All 4-cycles of Q_n, once each, as (base, i, j) with bits i < j clear
-    in base.  There are C(n,2) * 2^(n-2) of them."""
-    if n < 2:
-        raise ValueError("squares need n >= 2")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            step = 1 << i | 1 << j
-            for v in range(1 << n):
-                if v & step:
-                    continue
-                yield (v, i, j)
-
-
-def square_edges(base: int, i: int, j: int) -> tuple[Edge, Edge, Edge, Edge]:
-    return (
-        (base, i),
-        (base, j),
-        (base | 1 << j, i),
-        (base | 1 << i, j),
-    )
+        return sum(bits.bit_count() for bits in self.dirs)
 
 
 def is_square_blocking(m: CubeEdgeSet, limit: int = DEFAULT_SQUARE_LIMIT) -> bool:
-    """True iff every square of Q_n contains at least one edge of m."""
-    edges = m.edges
-    for base, i, j in enumerate_squares(m.n, limit):
-        if not any(e in edges for e in square_edges(base, i, j)):
-            return False
+    """True iff every square of Q_n contains at least one edge of m.
+
+    Square (b, i, j), i < j, bits i and j clear in b, has the edges (b, i),
+    (b, j), (b + 2^j, i) and (b + 2^i, j), so it is blocked iff bit b of
+    E_i | E_j | E_i >> 2^j | E_j >> 2^i is set.  n must lie in [2, limit].
+    """
+    n = m.n
+    if n < 2:
+        raise ValueError("squares need n >= 2")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds square-check limit {limit}")
+    clear, e = [_clear(d, 1 << n) for d in range(n)], m.dirs
+    for i in range(n):
+        for j in range(i + 1, n):
+            if clear[i] & clear[j] & ~(e[i] | e[j] | e[i] >> (1 << j) | e[j] >> (1 << i)):
+                return False
     return True
 
 
-def _min_vertex_cover(n: int, residual: Iterable[Edge]) -> set[int]:
-    """Minimum vertex cover of a set of Q_n edges, by matching duality.
+def _min_vertex_cover(residual: Sequence[int]) -> int:
+    """Minimum vertex cover, as a vertex bit mask, of the Q_n edges whose
+    per-direction bit vectors are ``residual``, by matching duality.
 
     Q_n is bipartite by label parity; from a maximum matching, the cover
     is (even side minus the alternating-reachable set) plus (odd side
     intersected with it), and its size equals the matching size.
     """
-    residual = list(residual)
-    pairs = []
-    for v, d in residual:
-        w = v ^ (1 << d)
-        pairs.append((v, w) if v.bit_count() % 2 == 0 else (w, v))
+    edges = [(v, v | 1 << d) for d, bits in enumerate(residual) for v in _vertices(bits)]
+    pairs = [(v, w) if v.bit_count() % 2 == 0 else (w, v) for v, w in edges]
     evens = sorted({u for u, _ in pairs})
     odds = sorted({w for _, w in pairs})
     even_index = {v: i for i, v in enumerate(evens)}
@@ -117,40 +122,35 @@ def _min_vertex_cover(n: int, residual: Iterable[Edge]) -> set[int]:
     match_l, match_r = max_bipartite_matching(adj, len(odds))
     free = [i for i, x in enumerate(match_l) if x == -1]
     reach_l, reach_r = alternating_reach(adj, match_r, free)
-    cover = {evens[i] for i in range(len(evens)) if not (reach_l >> i) & 1}
-    cover |= {odds[j] for j in iter_bits(reach_r)}
-    if len(cover) != len(evens) - len(free):
+    unreached = _vertices(~reach_l & ((1 << len(evens)) - 1))
+    cover = _bits_of([evens[i] for i in unreached] + [odds[j] for j in _vertices(reach_r)])
+    if cover.bit_count() != len(evens) - len(free):
         raise RuntimeError("cover size differs from the matching size")
-    for v, d in residual:
-        if v not in cover and v ^ (1 << d) not in cover:
-            raise RuntimeError(f"cover misses residual edge ({v}, {d})")
+    for d, bits in enumerate(residual):
+        if bits & ~(cover | cover >> (1 << d)):
+            raise RuntimeError(f"cover misses a residual edge in direction {d}")
     return cover
 
 
-def _lift(edges: Iterable[Edge], n: int) -> frozenset[Edge]:
-    """Edges of the upper Q_n copy inside Q_{n+1}: set bit n of the vertex."""
-    return frozenset((v | 1 << n, d) for v, d in edges)
-
-
-def _permute_directions(edges: Iterable[Edge], p: Permutation) -> frozenset[Edge]:
+def _permute_directions(m: CubeEdgeSet, p: Permutation) -> tuple[int, ...]:
     """Coordinate-permutation automorphism: relabel vertex bits and directions."""
-    out = set()
-    for v, d in edges:
-        w = 0
-        for b in iter_bits(v):
-            w |= 1 << p.image[b]
-        out.add(canonical_edge(w, p.image[d]))
-    return frozenset(out)
+    relabel = [0]  # relabel[v] for the vertices below 2^b, doubled per bit b
+    for b in range(m.n):
+        relabel += [w | 1 << p.image[b] for w in relabel]
+    out = [0] * m.n
+    for d, bits in enumerate(m.dirs):
+        out[p.image[d]] = _bits_of([relabel[v] for v in _vertices(bits)])
+    return tuple(out)
 
 
-def _double(m: CubeEdgeSet, mirror: frozenset[Edge]) -> CubeEdgeSet:
+def _double(m: CubeEdgeSet, mirror: Sequence[int]) -> CubeEdgeSet:
     """One doubling step: copies m and ``mirror`` into the two halves of
     Q_{n+1} and adds cross edges at a minimum cover of what neither blocks."""
-    n = m.n
-    residual = [e for e in all_edges(n) if e not in m.edges and e not in mirror]
-    cover = _min_vertex_cover(n, residual)
-    cross = {(v, n) for v in cover}
-    return CubeEdgeSet(n + 1, m.edges | _lift(mirror, n) | frozenset(cross))
+    size = 1 << m.n
+    residual = [_clear(d, size) & ~(e | f) for d, (e, f) in enumerate(zip(m.dirs, mirror))]
+    cover = _min_vertex_cover(residual)
+    lifted = tuple(e | f << size for e, f in zip(m.dirs, mirror))
+    return CubeEdgeSet(m.n + 1, lifted + (cover,))
 
 
 def recursive_blocking_set(n: int, limit: int = DEFAULT_SQUARE_LIMIT) -> CubeEdgeSet:
@@ -158,13 +158,13 @@ def recursive_blocking_set(n: int, limit: int = DEFAULT_SQUARE_LIMIT) -> CubeEdg
 
     Each step mirrors the current set into the second copy, so the
     residual is everything the current set misses; the result is verified
-    square-blocking whenever n is within the enumeration limit.
+    square-blocking whenever n is within the square-check limit.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = CubeEdgeSet(2, frozenset({(0, 0)}))
-    for dim in range(2, n):
-        m = _double(m, m.edges)
+    m = CubeEdgeSet(2, (1, 0))
+    for _ in range(n - 2):
+        m = _double(m, m.dirs)
     if n <= limit and not is_square_blocking(m, limit):
         raise RuntimeError(f"doubled set does not block every square of Q_{n}")
     return m
@@ -177,17 +177,12 @@ def direction_collection(m: CubeEdgeSet) -> Collection:
     its set holds the directions whose incident edge is missing.  These
     small sets are what the assisted construction asks to invert.
     """
-    n = m.n
-    degree = [0] * (1 << n)
-    for v, d in m.edges:
-        degree[v] += 1
-        degree[v ^ (1 << d)] += 1
-    sets = []
-    for v in range(1 << n):
-        if 2 * degree[v] >= n:
-            missing = [d for d in range(n) if canonical_edge(v, d) not in m.edges]
-            sets.append(Subset.of(n, missing))
-    return Collection(n, tuple(sets))
+    n, full = m.n, (1 << m.n) - 1
+    present = [0] * (full + 1)
+    for d, bits in enumerate(m.dirs):
+        for v in _vertices(bits | bits << (1 << d)):
+            present[v] |= 1 << d
+    return Collection(n, tuple(Subset(n, full - p) for p in present if 2 * p.bit_count() >= n))
 
 
 def inversion_assisted_blocking(
@@ -205,11 +200,10 @@ def inversion_assisted_blocking(
     if n < 3:
         raise ValueError("need n >= 3")
     base = recursive_blocking_set(n - 1, limit)
-    plain = _double(base, base.edges)
+    plain = _double(base, base.dirs)
 
     perm, _count = find_simple_permutation(direction_collection(base))
-    permuted = _permute_directions(base.edges, perm)
-    assisted = _double(base, permuted)
+    assisted = _double(base, _permute_directions(base, perm))
 
     result = assisted if len(assisted) < len(plain) else plain
     if n <= limit and not is_square_blocking(result, limit):
@@ -220,15 +214,16 @@ def inversion_assisted_blocking(
 def parse_cube_edges(text: str) -> CubeEdgeSet:
     """File format: first line n, then one edge per line as
     '<vertex-as-binary-string> <direction>'."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("missing dimension header")
     try:
         n = int(lines[0], 10)
     except ValueError:
         raise FormatError(f"bad dimension {lines[0]!r}") from None
-    edges = set()
+    if n < 0:
+        raise FormatError(f"dimension {n} must be non-negative")
+    edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -236,21 +231,17 @@ def parse_cube_edges(text: str) -> CubeEdgeSet:
         vertex_str, d_str = parts
         if len(vertex_str) != n or set(vertex_str) - {"0", "1"}:
             raise FormatError(f"vertex {vertex_str!r} is not an {n}-bit binary string")
-        try:
-            d = int(d_str, 10)
-        except ValueError:
-            raise FormatError(f"bad direction {d_str!r}") from None
-        v = int(vertex_str, 2)
-        if not 0 <= d < n:
+        if not d_str.isdecimal():
+            raise FormatError(f"bad direction {d_str!r}")
+        v, d = int(vertex_str, 2), int(d_str, 10)
+        if d >= n:
             raise FormatError(f"direction {d} outside [0, {n})")
         if (v >> d) & 1:
             raise FormatError(f"edge {ln!r} not canonical: direction bit set in vertex")
-        edges.add((v, d))
-    return CubeEdgeSet(n, frozenset(edges))
+        edges.append((v, d))
+    return CubeEdgeSet.of(n, edges)
 
 
 def serialize_cube_edges(m: CubeEdgeSet) -> str:
-    out = [str(m.n)]
-    for v, d in sorted(m.edges):
-        out.append(f"{v:0{m.n}b} {d}")
-    return "\n".join(out) + "\n"
+    edges = sorted((v, d) for d, bits in enumerate(m.dirs) for v in _vertices(bits))
+    return "".join([f"{m.n}\n", *(f"{v:0{m.n}b} {d}\n" for v, d in edges)])

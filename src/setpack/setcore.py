@@ -242,7 +242,8 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
     Empty member sets cannot be represented (the format has no line for
     them), so they are rejected.
     """
-    out = [f"# {h}" if not h.startswith("#") else h for h in header_comments]
+    lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
+    out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
     out.append(str(c.n))
     for i, s in enumerate(c.sets):
         if not s.bits:

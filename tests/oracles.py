@@ -56,6 +56,44 @@ def naive_square_count(n: int) -> int:
     return ordered // 8  # 4 rotations x 2 directions
 
 
+def naive_squares(n: int):
+    """All 4-cycles of Q_n, once each, as (base, i, j) with bits i < j clear
+    in base, by scanning every base for every direction pair."""
+    if n < 2:
+        raise ValueError("squares need n >= 2")
+    for i in range(n):
+        for j in range(i + 1, n):
+            step = 1 << i | 1 << j
+            for v in range(1 << n):
+                if v & step:
+                    continue
+                yield (v, i, j)
+
+
+def naive_square_edges(base: int, i: int, j: int):
+    return (
+        (base, i),
+        (base, j),
+        (base | 1 << j, i),
+        (base | 1 << i, j),
+    )
+
+
+def naive_is_square_blocking(n: int, edges) -> bool:
+    """setpack.is_square_blocking as first written, on a set of canonical
+    (vertex, direction) pairs: every square, edge by edge."""
+    edges = frozenset(edges)
+    for base, i, j in naive_squares(n):
+        if not any(e in edges for e in naive_square_edges(base, i, j)):
+            return False
+    return True
+
+
+def cube_edge_pairs(m) -> list:
+    """The (vertex, direction) pairs of a CubeEdgeSet, read bit by bit."""
+    return [(v, d) for d in range(m.n) for v in range(1 << m.n) if (m.dirs[d] >> v) & 1]
+
+
 def random_subset_bits(rng, n: int, allow_empty: bool = False) -> int:
     while True:
         bits = rng.getrandbits(n) if n else 0

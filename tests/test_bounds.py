@@ -237,3 +237,14 @@ def test_bounds_deterministic():
     b = bound_report(1 / 3, 0.2)
     assert a == b
     assert optimal_c(1 / 3) == optimal_c(1 / 3)
+
+
+def test_report_self_checks_raise(monkeypatch):
+    from setpack import bounds
+
+    monkeypatch.setattr(bounds, "lower_bound_T", lambda c, alpha: (1.0, 0.5))
+    with pytest.raises(RuntimeError, match="below 1"):
+        bound_report(1 / 3)
+    monkeypatch.setattr(bounds, "lower_bound_T", lambda c, alpha: (10.0, 2.0))
+    with pytest.raises(RuntimeError, match="exceeded the upper bound"):
+        bound_report(1 / 3)

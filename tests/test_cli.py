@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -211,6 +212,21 @@ def test_cube_build_verify(tmp_path, capsys):
     out_file.write_text("\n".join(lines[:-1]) + "\n")
     code, out = run(capsys, "cube", "verify", "--n", "4", "--edges", str(out_file))
     assert code == 1 and "NOT square-blocking" in out
+
+
+def test_cube_verify_malformed_dimensions(tmp_path, capsys):
+    f = tmp_path / "m.txt"
+    f.write_text("40\n")
+    start = time.perf_counter()
+    assert main(["cube", "verify", "--n", "40", "--edges", str(f)]) == 2
+    # an edge at a high vertex is not parsed: the limit is checked first
+    f.write_text("40\n" + "1" * 39 + "0 0\n")
+    assert main(["cube", "verify", "--n", "40", "--edges", str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds square-check limit" in capsys.readouterr().err
+    f.write_text("-3\n")
+    assert main(["cube", "verify", "--n", "3", "--edges", str(f)]) == 3
+    assert "dimension -3" in capsys.readouterr().err
 
 
 def test_deterministic_output(tmp_path, capsys):

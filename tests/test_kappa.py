@@ -239,3 +239,9 @@ def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):
         find_simple_permutation(c)
     assert main(["kappa", "--input", str(f)]) == 4
     assert "internal error: derandomization guarantee violated" in capsys.readouterr().err
+
+
+def test_exhaustive_kappa_needs_a_candidate(monkeypatch):
+    monkeypatch.setattr(kappa, "simple_permutations", lambda n: iter(()))
+    with pytest.raises(RuntimeError):
+        kappa.exhaustive_kappa(Collection.of(4, [[0]]), simple_only=True)

@@ -229,3 +229,41 @@ def test_family_serialization_roundtrip():
     # explicit alpha overrides the header
     loose = parse_family(text, Fraction(3, 4))
     assert loose.declared_alpha == Fraction(3, 4)
+
+
+def test_self_checks_raise(monkeypatch, capsys):
+    # explicit raises, so they also hold under python -O
+    from dataclasses import replace
+
+    from setpack import pack
+    from setpack.cli import main
+
+    real = pack.verify_packing
+
+    def failing(when):
+        return lambda f: replace(real(f), ok=False) if when(f) else real(f)
+
+    half = Fraction(1, 2)
+    for n, when, message in (
+        (28, lambda f: True, "singleton base family"),
+        (9, lambda f: f.declared_alpha == half, "fallback family"),
+        (28, lambda f: len(f.blocks) == 49, "constructed family"),
+    ):
+        monkeypatch.setattr(pack, "verify_packing", failing(when))
+        with pytest.raises(RuntimeError, match=message):
+            construct_packing(n, half)
+        assert main(["pack", "build", "--n", str(n), "--alpha", "1/2"]) == 4
+        assert "internal error" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    def low_floor(n, cn_size, alpha):
+        stats = packing_graph_stats(n, cn_size, alpha)
+        return replace(stats, N=10**9)
+
+    monkeypatch.setattr(pack, "packing_graph_stats", low_floor)
+    with pytest.raises(RuntimeError, match="independence floor"):
+        greedy_independent_set(8, 2, half)
+    monkeypatch.undo()
+    monkeypatch.setattr(pack, "comb", lambda a, b: 0)
+    with pytest.raises(RuntimeError, match="degree"):
+        packing_graph_stats(8, 2, half)

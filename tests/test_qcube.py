@@ -1,83 +1,152 @@
+import random
+import time
+from itertools import combinations
+
 import pytest
 
 from setpack import qcube
 from setpack import (
     CubeEdgeSet,
-    enumerate_squares,
     inversion_assisted_blocking,
     is_square_blocking,
     recursive_blocking_set,
 )
+from setpack.kappa import simple_permutations
 from setpack.qcube import (
     _min_vertex_cover,
-    all_edges,
+    _permute_directions,
     direction_collection,
     parse_cube_edges,
     serialize_cube_edges,
-    square_edges,
+)
+from setpack.setcore import FormatError, Subset
+
+from oracles import (
+    cube_edge_pairs,
+    naive_is_square_blocking,
+    naive_square_count,
+    naive_square_edges,
+    naive_squares,
 )
 
-from oracles import naive_square_count
+
+def canonical_edges(n):
+    return [(v, d) for v in range(1 << n) for d in range(n) if not (v >> d) & 1]
 
 
 def test_square_counts():
-    assert sum(1 for _ in enumerate_squares(2)) == 1
-    assert sum(1 for _ in enumerate_squares(3)) == 6
-    assert sum(1 for _ in enumerate_squares(4)) == 24
-    for n in range(2, 6):
+    for n in range(2, 7):
         formula = n * (n - 1) // 2 * (1 << (n - 2))
-        assert sum(1 for _ in enumerate_squares(n)) == formula
+        assert sum(1 for _ in naive_squares(n)) == formula
         assert naive_square_count(n) == formula
 
 
 def test_squares_are_squares():
-    for base, i, j in enumerate_squares(4):
-        edges = square_edges(base, i, j)
+    # the oracle's squares are 4-cycles of Q_4
+    for base, i, j in naive_squares(4):
+        edges = naive_square_edges(base, i, j)
         assert len(set(edges)) == 4
         verts = {base, base ^ (1 << i), base ^ (1 << j), base ^ (1 << i) ^ (1 << j)}
         for v, d in edges:
             assert v in verts and (v ^ (1 << d)) in verts
 
 
-def test_enumerate_squares_limits():
+def test_square_check_limits(monkeypatch):
     with pytest.raises(ValueError):
-        list(enumerate_squares(1))
+        is_square_blocking(CubeEdgeSet(1, (0,)))
     with pytest.raises(ValueError):
-        list(enumerate_squares(15))
+        is_square_blocking(CubeEdgeSet(0, ()))
+    with pytest.raises(ValueError):
+        is_square_blocking(CubeEdgeSet(15, (0,) * 15))
+    with pytest.raises(ValueError):
+        is_square_blocking(CubeEdgeSet.of(5, []), limit=4)
+    assert not is_square_blocking(CubeEdgeSet(15, (0,) * 15), limit=15)
+
+    # builds skip their check above the limit
+    def refuse(m, limit):
+        raise AssertionError("square check ran above the limit")
+
+    monkeypatch.setattr(qcube, "is_square_blocking", refuse)
+    assert len(recursive_blocking_set(5, limit=4)) == 4 * (1 << 3)
+    inversion_assisted_blocking(5, limit=3)
 
 
 def test_is_square_blocking_small():
-    assert is_square_blocking(CubeEdgeSet(2, frozenset({(0, 0)})))
-    assert is_square_blocking(CubeEdgeSet(2, frozenset({(1, 1)})))
-    assert not is_square_blocking(CubeEdgeSet(3, frozenset()))
+    assert is_square_blocking(CubeEdgeSet.of(2, [(0, 0)]))
+    assert is_square_blocking(CubeEdgeSet.of(2, [(1, 1)]))
+    assert not is_square_blocking(CubeEdgeSet.of(3, []))
 
 
 def test_three_edges_can_block_q3():
     # each Q3 edge lies in exactly 2 of the 6 faces; some triple of edges
     # with disjoint face pairs blocks everything
-    from itertools import combinations
-
-    edges = list(all_edges(3))
     found = None
-    for triple in combinations(edges, 3):
-        if is_square_blocking(CubeEdgeSet(3, frozenset(triple))):
+    for triple in combinations(canonical_edges(3), 3):
+        if is_square_blocking(CubeEdgeSet.of(3, triple)):
             found = triple
             break
     assert found is not None
 
 
+def test_square_check_matches_oracle_random():
+    rng = random.Random(5)
+    outcomes = {n: set() for n in range(2, 8)}
+    for trial in range(2400):
+        n = 2 + trial % 6
+        density = rng.random() ** 0.25  # mostly dense, so both answers occur
+        edges = [e for e in canonical_edges(n) if rng.random() < density]
+        got = is_square_blocking(CubeEdgeSet.of(n, edges))
+        assert got == naive_is_square_blocking(n, edges), (n, edges)
+        outcomes[n].add(got)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_square_check_matches_oracle_on_constructions():
+    built = [recursive_blocking_set(n) for n in range(2, 10)]
+    built += [inversion_assisted_blocking(n)[0] for n in range(3, 10)]
+    for m in built:
+        edges = cube_edge_pairs(m)
+        assert is_square_blocking(m) and naive_is_square_blocking(m.n, edges)
+        if m.n > 6:
+            continue
+        for k in range(len(edges)):
+            fewer = edges[:k] + edges[k + 1:]
+            got = is_square_blocking(CubeEdgeSet.of(m.n, fewer))
+            assert got == naive_is_square_blocking(m.n, fewer), (m.n, edges[k])
+
+
 def test_min_vertex_cover():
+    def residual(n, edges):
+        return CubeEdgeSet.of(n, edges).dirs
+
     # a single edge needs one endpoint
-    cover = _min_vertex_cover(2, [(0, 0)])
-    assert len(cover) == 1
+    assert _min_vertex_cover(residual(2, [(0, 0)])).bit_count() == 1
     # the full Q2 cycle needs 2 vertices
-    cover = _min_vertex_cover(2, list(all_edges(2)))
-    assert len(cover) == 2
-    # full Q3: bipartite, matching number 4
-    cover = _min_vertex_cover(3, list(all_edges(3)))
-    assert len(cover) == 4
-    for v, d in all_edges(3):
-        assert v in cover or (v ^ (1 << d)) in cover
+    assert _min_vertex_cover(residual(2, canonical_edges(2))).bit_count() == 2
+    # random edge sets of Q3 against the smallest cover found by enumeration
+    rng = random.Random(2)
+    for _ in range(100):
+        edges = [e for e in canonical_edges(3) if rng.random() < 0.5]
+        cover = _min_vertex_cover(residual(3, edges))
+        for v, d in edges:
+            assert (cover >> v) & 1 or (cover >> (v ^ (1 << d))) & 1
+        smallest = min(
+            c.bit_count()
+            for c in range(1 << 8)
+            if all((c >> v) & 1 or (c >> (v ^ (1 << d))) & 1 for v, d in edges)
+        )
+        assert cover.bit_count() == smallest
+
+
+def test_permute_directions_relabels_every_edge():
+    for n in range(2, 7):
+        m = recursive_blocking_set(n)
+        for p in list(simple_permutations(n))[:5]:
+            moved = set()
+            for v, d in cube_edge_pairs(m):
+                w = sum(1 << p.image[b] for b in range(n) if (v >> b) & 1)
+                moved.add((w, p.image[d]))
+            assert CubeEdgeSet(n, _permute_directions(m, p)) == CubeEdgeSet.of(n, moved)
 
 
 def test_self_checks_raise(monkeypatch):
@@ -94,7 +163,7 @@ def test_self_checks_raise(monkeypatch):
         qcube, "max_bipartite_matching", lambda adj, n_right: ([-1] * len(adj), [-1] * n_right)
     )
     with pytest.raises(RuntimeError):
-        _min_vertex_cover(2, [(0, 0)])
+        _min_vertex_cover((1, 0))
 
 
 def test_recursive_blocking_sizes_and_validity():
@@ -120,6 +189,18 @@ def test_direction_collection_shape():
     assert all(2 * s.cardinality() <= col.n for s in col.sets)
 
 
+def test_direction_collection_matches_edge_scan():
+    for n in range(2, 9):
+        m = recursive_blocking_set(n)
+        edges = set(cube_edge_pairs(m))
+        expected = []
+        for v in range(1 << n):
+            missing = [d for d in range(n) if (v & ~(1 << d), d) not in edges]
+            if 2 * (n - len(missing)) >= n:
+                expected.append(Subset.of(n, missing))
+        assert direction_collection(m).sets == tuple(expected)
+
+
 def test_assisted_never_worse_and_blocking():
     for n in range(3, 8):
         assisted, saved = inversion_assisted_blocking(n)
@@ -136,18 +217,44 @@ def test_cube_edge_file_roundtrip():
     text = serialize_cube_edges(m)
     back = parse_cube_edges(text)
     assert back == m
-    from setpack.setcore import FormatError
-
-    with pytest.raises(FormatError):
-        parse_cube_edges("3\n111 0\n")  # direction bit set in vertex
-    with pytest.raises(FormatError):
-        parse_cube_edges("3\n00 0\n")  # wrong width
-    with pytest.raises(FormatError):
-        parse_cube_edges("")
+    assert text.splitlines()[1:] == [f"{v:05b} {d}" for v, d in sorted(cube_edge_pairs(m))]
+    for bad in (
+        "3\n111 0\n",  # direction bit set in vertex
+        "3\n00 0\n",  # wrong width
+        "3\n000 3\n",  # direction out of range
+        "3\n000 -1\n",
+        "3\n000 x\n",
+        "-1\n",  # negative dimension
+        "",
+    ):
+        with pytest.raises(FormatError):
+            parse_cube_edges(bad)
 
 
 def test_canonical_edge_validation():
     with pytest.raises(ValueError):
-        CubeEdgeSet(3, frozenset({(1, 0)}))  # bit 0 set, direction 0
+        CubeEdgeSet.of(3, [(1, 0)])  # bit 0 set, direction 0
     with pytest.raises(ValueError):
-        CubeEdgeSet(3, frozenset({(0, 3)}))  # direction out of range
+        CubeEdgeSet.of(3, [(0, 3)])  # direction out of range
+    with pytest.raises(ValueError):
+        CubeEdgeSet.of(3, [(-1, 0)])
+    with pytest.raises(ValueError):
+        CubeEdgeSet.of(3, [(1 << 40, 0)])  # rejected before any bit vector is built
+    with pytest.raises(ValueError):
+        CubeEdgeSet(3, (0, 0))  # one bit vector per direction
+    with pytest.raises(ValueError):
+        CubeEdgeSet(3, (1 << 8, 0, 0))  # vertex 8 is outside Q_3
+    with pytest.raises(ValueError):
+        CubeEdgeSet(3, (-1, 0, 0))
+    with pytest.raises(ValueError):
+        CubeEdgeSet(-1, ())
+    assert len(CubeEdgeSet.of(3, [(0, 0), (0, 0), (2, 0)])) == 2
+
+
+def test_validation_scales_with_the_bits_present():
+    # a dimension the edges only claim never costs a 2^n-bit mask
+    start = time.perf_counter()
+    big = CubeEdgeSet(40, (1 << (1 << 20),) + (0,) * 39)
+    assert len(big) == 1
+    assert parse_cube_edges("40\n").n == 40
+    assert time.perf_counter() - start < 1.0
