@@ -310,9 +310,10 @@ def _cmd_cube_verify(args, out: Outcome):
     limit = args.limit or qcube.DEFAULT_SQUARE_LIMIT
     if args.n > limit:  # refused before parsing: each direction of Q_n holds 2^n bits
         raise ValueError(f"n={args.n} exceeds square-check limit {limit}")
-    m = qcube.parse_cube_edges(_read(args.edges))
-    if m.n != args.n:
-        raise setcore.FormatError(f"file is for Q_{m.n}, not Q_{args.n}")
+    n, edges = qcube.parse_cube_edge_list(_read(args.edges))
+    if n != args.n:  # refused before the bit vectors of the file's Q_n are built
+        raise setcore.FormatError(f"file is for Q_{n}, not Q_{args.n}")
+    m = qcube.CubeEdgeSet.of(n, edges)
     ok = qcube.is_square_blocking(m, limit)
     out.say(f"{len(m)} edges: " + ("square-blocking" if ok else "NOT square-blocking"))
     out.doc = {"n": m.n, "edges": len(m), "square_blocking": ok}

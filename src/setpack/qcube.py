@@ -65,7 +65,8 @@ class CubeEdgeSet:
         if self.n < 0 or len(self.dirs) != self.n:
             raise ValueError(f"Q_{self.n} needs one bit vector per direction, got {len(self.dirs)}")
         for d, bits in enumerate(self.dirs):
-            if bits < 0 or bits >> (1 << self.n) or bits & ~_clear(d, bits.bit_length()):
+            top = bits.bit_length()  # top >= 2^n: past Q_n or at its all-ones vertex
+            if bits < 0 or top >> self.n or top >> d and bits & ~_clear(d, top):
                 raise ValueError(f"direction {d}: not a set of canonical edges of Q_{self.n}")
 
     @classmethod
@@ -76,7 +77,7 @@ class CubeEdgeSet:
             if not (0 <= d < n and v >= 0 and not v >> n):
                 raise ValueError(f"edge ({v}, {d}) outside Q_{n}")
             vertices[d].append(v)
-        return cls(n, tuple(_bits_of(vs) for vs in vertices))
+        return cls(n, tuple(_bits_of(vs) if vs else 0 for vs in vertices))
 
     def __len__(self) -> int:
         return sum(bits.bit_count() for bits in self.dirs)
@@ -211,9 +212,9 @@ def inversion_assisted_blocking(
     return result, len(plain) - len(result)
 
 
-def parse_cube_edges(text: str) -> CubeEdgeSet:
-    """File format: first line n, then one edge per line as
-    '<vertex-as-binary-string> <direction>'."""
+def parse_cube_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Header n and (vertex, direction) pairs of a cube edge file, checked
+    line by line but with no bit vector built: a caller may refuse n first."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("missing dimension header")
@@ -239,7 +240,13 @@ def parse_cube_edges(text: str) -> CubeEdgeSet:
         if (v >> d) & 1:
             raise FormatError(f"edge {ln!r} not canonical: direction bit set in vertex")
         edges.append((v, d))
-    return CubeEdgeSet.of(n, edges)
+    return n, edges
+
+
+def parse_cube_edges(text: str) -> CubeEdgeSet:
+    """File format: first line n, then one edge per line as
+    '<vertex-as-binary-string> <direction>'."""
+    return CubeEdgeSet.of(*parse_cube_edge_list(text))
 
 
 def serialize_cube_edges(m: CubeEdgeSet) -> str:

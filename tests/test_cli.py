@@ -1,10 +1,9 @@
 import json
 import sys
-import time
 
 import pytest
 
-from setpack import kappa
+from setpack import kappa, qcube
 from setpack.cli import main, parse_ratio
 from setpack.setcore import Permutation
 from fractions import Fraction
@@ -214,19 +213,24 @@ def test_cube_build_verify(tmp_path, capsys):
     assert code == 1 and "NOT square-blocking" in out
 
 
-def test_cube_verify_malformed_dimensions(tmp_path, capsys):
+def test_cube_verify_malformed_dimensions(tmp_path, capsys, monkeypatch):
+    # the header and the limit are checked before any bit vector is built
+    def refuse(n, edges):
+        raise AssertionError(f"bit vectors of Q_{n} built before the header was checked")
+
+    monkeypatch.setattr(qcube.CubeEdgeSet, "of", refuse)
     f = tmp_path / "m.txt"
-    f.write_text("40\n")
-    start = time.perf_counter()
-    assert main(["cube", "verify", "--n", "40", "--edges", str(f)]) == 2
-    # an edge at a high vertex is not parsed: the limit is checked first
-    f.write_text("40\n" + "1" * 39 + "0 0\n")
-    assert main(["cube", "verify", "--n", "40", "--edges", str(f)]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert "exceeds square-check limit" in capsys.readouterr().err
-    f.write_text("-3\n")
-    assert main(["cube", "verify", "--n", "3", "--edges", str(f)]) == 3
-    assert "dimension -3" in capsys.readouterr().err
+    high_edge = "1" + "0" * 39 + " 0\n"  # vertex 2^39: 2^40 bits in the file's Q_40
+    for text, n, code, message in (
+        ("40\n", 40, 2, "exceeds square-check limit"),
+        ("40\n" + high_edge, 40, 2, "exceeds square-check limit"),
+        ("1000000\n", 5, 3, "file is for Q_1000000, not Q_5"),
+        ("40\n" + high_edge, 5, 3, "file is for Q_40, not Q_5"),
+        ("-3\n", 3, 3, "dimension -3"),
+    ):
+        f.write_text(text)
+        assert main(["cube", "verify", "--n", str(n), "--edges", str(f)]) == code
+        assert message in capsys.readouterr().err
 
 
 def test_deterministic_output(tmp_path, capsys):

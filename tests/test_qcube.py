@@ -1,5 +1,4 @@
 import random
-import time
 from itertools import combinations
 
 import pytest
@@ -251,10 +250,32 @@ def test_canonical_edge_validation():
     assert len(CubeEdgeSet.of(3, [(0, 0), (0, 0), (2, 0)])) == 2
 
 
-def test_validation_scales_with_the_bits_present():
-    # a dimension the edges only claim never costs a 2^n-bit mask
-    start = time.perf_counter()
-    big = CubeEdgeSet(40, (1 << (1 << 20),) + (0,) * 39)
-    assert len(big) == 1
+def test_validation_matches_the_definition():
+    # a direction-d vector is valid iff every set bit is a vertex of Q_n with bit d clear
+    for n in range(4):
+        for d in range(n):
+            for bits in range(1 << ((1 << n) + 2)):
+                valid = all(v < 1 << n and not (v >> d) & 1 for v in range(bits.bit_length()) if bits >> v & 1)
+                dirs = tuple(bits if e == d else 0 for e in range(n))
+                if valid:
+                    assert CubeEdgeSet(n, dirs).dirs[d] == bits
+                else:
+                    with pytest.raises(ValueError):
+                        CubeEdgeSet(n, dirs)
+
+
+def test_validation_scales_with_the_bits_present(monkeypatch):
+    # A dimension the edges only claim costs no n-bit int and no mask per
+    # empty direction: 1 << n is never taken, and only the non-empty vector
+    # asks for a canonical mask.
+    class Claimed(int):
+        def __rlshift__(self, other):
+            raise AssertionError("an n-bit int was built from the claimed dimension")
+
+    asked = []
+    clear = qcube._clear
+    monkeypatch.setattr(qcube, "_clear", lambda d, width: asked.append(d) or clear(d, width))
+    n = Claimed(10**5)
+    big = CubeEdgeSet(n, (1 << (1 << 20),) + (0,) * (n - 1))
+    assert len(big) == 1 and asked == [0]
     assert parse_cube_edges("40\n").n == 40
-    assert time.perf_counter() - start < 1.0
