@@ -33,6 +33,8 @@ from .setcore import Collection, Subset
 
 DEFAULT_GREEDY_BUDGET = 200_000
 DEFAULT_CHECK_LIMIT = 2_000
+GRAM_ROW_CELLS = 1 << 22  # cells of one row block of verify_packing's Gram matrix
+FLOAT32_EXACT_LIMIT = 1 << 24  # float32 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,14 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     """Exhaustive pairwise check of a family against its declared alpha.
 
     Passes iff blocks are distinct, equal-sized, and every pairwise
-    intersection is strictly below alpha * block_size.  Intersections are
-    counted through one integer Gram matrix (exact in float32 for any
-    ground size this library handles).
+    intersection is strictly below alpha * block_size.  The blocks become
+    0/1 rows of a float32 matrix (one ``to_bytes`` per block, one
+    ``unpackbits`` for the family), and the upper triangle of their Gram
+    matrix is taken in row blocks of about GRAM_ROW_CELLS cells, so
+    memory is the rows plus one row block whatever the family size.
+    Every partial sum is an integer at most n, so the counts are exact
+    in float32 below n = 2**24; larger ground sets raise ValueError.
+    worst_pair is the lexicographically first pair reaching the maximum.
     """
     size = f.block_size
     threshold = f.declared_alpha * size
@@ -127,17 +134,28 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     distinct = len({b.bits for b in f.blocks}) == count
     if count < 2:
         return PackingReport(distinct, 0, 0, threshold, size, distinct)
+    if f.n >= FLOAT32_EXACT_LIMIT:
+        raise ValueError(
+            f"ground size {f.n} >= 2**24: float32 intersection counts are no longer exact"
+        )
 
-    a = np.zeros((count, f.n), dtype=np.float32)
-    for i, b in enumerate(f.blocks):
-        a[i, b.elements()] = 1.0
-    gram = a @ a.T
-    np.fill_diagonal(gram, -1.0)
-    flat = int(gram.argmax())
-    worst = (flat // count, flat % count)
-    if worst[0] > worst[1]:
-        worst = (worst[1], worst[0])
-    max_int = int(gram.max())
+    width = (f.n + 7) // 8
+    packed = b"".join(b.bits.to_bytes(width, "little") for b in f.blocks)
+    rows = np.frombuffer(packed, np.uint8).reshape(count, width)
+    a = np.unpackbits(rows, axis=1, count=f.n, bitorder="little").astype(np.float32)
+    max_int, worst = -1, None
+    start = 0
+    while start < count - 1:
+        cols = count - start - 1  # column c is block start + 1 + c
+        stop = min(count - 1, start + max(1, GRAM_ROW_CELLS // cols))
+        gram = a[start:stop] @ a[start + 1:].T
+        gram[:, : stop - start][np.tri(stop - start, k=-1, dtype=bool)] = -1.0  # j <= i
+        flat = int(gram.argmax())
+        if gram.flat[flat] > max_int:
+            max_int = int(gram.flat[flat])
+            worst = (start + flat // cols, start + 1 + flat % cols)
+        del gram  # freed before the next row block is allocated
+        start = stop
     pairs = count * (count - 1) // 2
     ok = distinct and Fraction(max_int) < threshold
     return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
@@ -158,6 +176,7 @@ class LevelTrace:
     constituents: tuple[tuple[int, ...], ...] | None
     size: int
     block_size: int
+    report: PackingReport  # verify_packing of this level's family
     sub: "LevelTrace | None"
 
 
@@ -174,9 +193,10 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         family = PackingFamily(
             n, tuple(Subset(n, 1 << x) for x in range(n)), alpha, Fraction(1, n)
         )
-        if not verify_packing(family).ok:
+        report = verify_packing(family)
+        if not report.ok:
             raise RuntimeError("singleton base family fails its own check")
-        trace = LevelTrace(n, n, alpha, True, False, 0, None, (), None, n, 1, None)
+        trace = LevelTrace(n, n, alpha, True, False, 0, None, (), None, n, 1, report, None)
         return family, trace
 
     parts = 2 * k
@@ -188,11 +208,12 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         # no usable prime: stop the recursion here and hand back the
         # sub-family, which satisfies the stricter alpha/2 and hence alpha
         family = PackingFamily(p, sub_family.blocks, alpha, sub_family.achieved_c)
-        if not verify_packing(family).ok:
+        report = verify_packing(family)
+        if not report.ok:
             raise RuntimeError("fallback family fails its own check")
         trace = LevelTrace(
             n, p, alpha, False, True, parts, None, (), None,
-            len(sub_family.blocks), sub_family.block_size, sub_trace,
+            len(sub_family.blocks), sub_family.block_size, report, sub_trace,
         )
         return family, trace
 
@@ -217,7 +238,7 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
     trace = LevelTrace(
         n, used_n, alpha, False, False, parts, q, coeffs,
-        tuple(constituents), len(blocks), block_size, sub_trace,
+        tuple(constituents), len(blocks), block_size, report, sub_trace,
     )
     return family, trace
 
@@ -244,19 +265,17 @@ def construct_packing(n: int, alpha) -> PackingFamily:
 def shared_constituent_violations(trace: LevelTrace) -> int:
     """Pairs of blocks (over all levels) sharing two or more constituent
     sub-blocks.  Zero for every family this module constructs: distinct
-    index pairs solve l + a m = l' + a m' for at most one coefficient."""
+    index pairs solve l + a m = l' + a m' for at most one coefficient.
+    Each coordinate pair is one bincount of its index pairs."""
     violations = 0
     node: LevelTrace | None = trace
     while node is not None:
         if node.constituents:
-            width = len(node.constituents[0])
-            for c1 in range(width):
-                for c2 in range(c1 + 1, width):
-                    buckets: dict[tuple[int, int], int] = {}
-                    for t in node.constituents:
-                        key = (t[c1], t[c2])
-                        buckets[key] = buckets.get(key, 0) + 1
-                    violations += sum(v * (v - 1) // 2 for v in buckets.values() if v > 1)
+            t = np.array(node.constituents)
+            q = int(t.max()) + 1
+            for c1, c2 in combinations(range(t.shape[1]), 2):
+                counts = np.bincount(t[:, c1] * q + t[:, c2])
+                violations += int((counts * (counts - 1) // 2).sum())
         node = node.sub
     return violations
 

@@ -253,8 +253,14 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Read the permutation file format: one line, image[j] at position j."""
+    """Read the permutation file format: one line, image[j] at position j.
+
+    The 0-point permutation is one blank line, which is what
+    serialize_permutation writes for it.
+    """
     lines = list(_data_lines(text))
+    if not lines and any(not raw.strip() for raw in text.splitlines()):
+        return Permutation(0, ())
     if len(lines) != 1:
         raise FormatError("permutation file must hold exactly one data line")
     lineno, line = lines[0]

@@ -1,14 +1,22 @@
 """Deliberately naive reference implementations used to cross-check the
 library.  Everything here enumerates and shares no shortcuts with the
-implementations under test, except naive_find_simple_permutation: the
-derandomized search in its original one-candidate-at-a-time form, which
-uses only the library's counting functions lambda_simple and sigma (both
-checked against enumeration in test_kappa)."""
+implementations under test, except three former library functions kept
+verbatim as references: naive_find_simple_permutation, the derandomized
+search in its original one-candidate-at-a-time form, which uses only the
+library's counting functions lambda_simple and sigma (both checked
+against enumeration in test_kappa); naive_verify_packing, the pairwise
+check through one dense Gram matrix; and
+naive_shared_constituent_violations, the dict-counting walk over the
+construction record."""
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import ceil
 
+import numpy as np
+
 from setpack import (
     Collection,
+    PackingFamily,
     Permutation,
     SizeProfile,
     Subset,
@@ -17,6 +25,7 @@ from setpack import (
     lambda_simple,
     sigma,
 )
+from setpack.pack import LevelTrace, PackingReport
 
 
 def naive_invertible(c: Collection):
@@ -202,3 +211,48 @@ def naive_find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     bound = kappa_lower_bound(SizeProfile.from_collection(c))
     assert count >= ceil(bound), "derandomization guarantee violated"
     return perm, count
+
+
+def naive_verify_packing(f: PackingFamily) -> PackingReport:
+    """setpack.verify_packing as first written: the full count x count
+    float32 Gram matrix, the flat argmax giving the first pair reaching the
+    maximum."""
+    size = f.block_size
+    threshold = f.declared_alpha * size
+    count = len(f.blocks)
+    distinct = len({b.bits for b in f.blocks}) == count
+    if count < 2:
+        return PackingReport(distinct, 0, 0, threshold, size, distinct)
+
+    a = np.zeros((count, f.n), dtype=np.float32)
+    for i, b in enumerate(f.blocks):
+        a[i, b.elements()] = 1.0
+    gram = a @ a.T
+    np.fill_diagonal(gram, -1.0)
+    flat = int(gram.argmax())
+    worst = (flat // count, flat % count)
+    if worst[0] > worst[1]:
+        worst = (worst[1], worst[0])
+    max_int = int(gram.max())
+    pairs = count * (count - 1) // 2
+    ok = distinct and Fraction(max_int) < threshold
+    return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
+
+
+def naive_shared_constituent_violations(trace: LevelTrace) -> int:
+    """setpack.pack.shared_constituent_violations as first written: one
+    dict of index pairs per coordinate pair and level."""
+    violations = 0
+    node: LevelTrace | None = trace
+    while node is not None:
+        if node.constituents:
+            width = len(node.constituents[0])
+            for c1 in range(width):
+                for c2 in range(c1 + 1, width):
+                    buckets: dict[tuple[int, int], int] = {}
+                    for t in node.constituents:
+                        key = (t[c1], t[c2])
+                        buckets[key] = buckets.get(key, 0) + 1
+                    violations += sum(v * (v - 1) // 2 for v in buckets.values() if v > 1)
+        node = node.sub
+    return violations

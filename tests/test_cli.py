@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
-from setpack import kappa, qcube
+from setpack import kappa, pack, qcube
 from setpack.cli import main, parse_ratio
 from setpack.setcore import Permutation
+
+from oracles import naive_verify_packing
 from fractions import Fraction
 
 
@@ -154,6 +156,38 @@ def test_pack_build_verify_roundtrip(tmp_path, capsys):
     out_file.write_text("\n".join(lines) + "\n")
     code, out = run(capsys, "pack", "verify", "--input", str(out_file))
     assert code == 1
+
+
+def test_pack_build_checks_once_per_level(monkeypatch, capsys):
+    calls = []
+    real = pack.verify_packing
+
+    def counted(f):
+        calls.append(len(f.blocks))
+        return real(f)
+
+    monkeypatch.setattr(pack, "verify_packing", counted)
+    for n, alpha in ((28, "1/2"), (10, "1/2"), (268, "1/2"), (152, "1/4")):
+        calls.clear()
+        code, out = run(capsys, "--json", "pack", "build", "--n", str(n), "--alpha", alpha)
+        checked = list(calls)
+        family, trace = pack.construct_packing_traced(n, Fraction(alpha))
+        levels = []
+        node = trace
+        while node is not None:
+            levels.append(node.size)
+            node = node.sub
+        assert code == 0 and checked == levels[::-1], (n, alpha, checked)
+        doc = json.loads(out)
+        oracle = naive_verify_packing(family)
+        assert (doc["max_intersection"], doc["verified"]) == (oracle.max_intersection, oracle.ok)
+
+
+def test_pack_verify_refuses_inexact_ground_size(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text(f"{1 << 24}\n0\n1\n")
+    assert main(["pack", "verify", "--input", str(f), "--alpha", "1/2"]) == 2
+    assert "2**24" in capsys.readouterr().err
 
 
 def test_pack_no3(tmp_path, capsys):

@@ -17,6 +17,7 @@ from setpack import (
     serialize_permutation,
 )
 from setpack.qcube import parse_cube_edges, serialize_cube_edges
+from setpack.setcore import FormatError
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -49,13 +50,11 @@ def test_permutation_roundtrip(image):
     assert parse_permutation(serialize_permutation(p)) == p
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="serialize_permutation writes a blank line for n = 0, which parse_permutation rejects",
-)
 def test_empty_permutation_roundtrip():
     p = Permutation(0, ())
     assert parse_permutation(serialize_permutation(p)) == p
+    with pytest.raises(FormatError):  # a file without any line holds nothing
+        parse_permutation("")
 
 
 @SETTINGS

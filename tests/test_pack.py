@@ -15,7 +15,9 @@ from setpack import (
     packing_graph_stats,
     verify_packing,
 )
+from setpack import pack
 from setpack.pack import (
+    LevelTrace,
     construct_packing_traced,
     no_three_invertible_family,
     parse_family,
@@ -23,6 +25,10 @@ from setpack.pack import (
     serialize_family,
     shared_constituent_violations,
 )
+from setpack.setcore import Subset
+
+from oracles import naive_shared_constituent_violations, naive_verify_packing
+from test_acceptance import SWEEP
 
 
 def brute_force_packing_graph(n, cn_size, alpha):
@@ -96,6 +102,80 @@ def test_verify_packing():
     crossing = PackingFamily.of(6, [[0, 1, 2], [0, 1, 3]], Fraction(1, 3))
     rep = verify_packing(crossing)
     assert not rep.ok and rep.max_intersection == 2
+
+
+def random_family(rng, n):
+    """Equal-size blocks on [0, n), drawn to hit the check's corner cases:
+    0, 1 or 2 blocks, duplicates, disjoint blocks and tied maxima."""
+    count = rng.choice([0, 1, 2, rng.randint(3, 40)])
+    size = rng.randint(0, n)
+    if rng.random() < 0.2 and size and count * size <= n:  # pairwise disjoint
+        order = rng.sample(range(n), n)
+        blocks = [order[i * size:(i + 1) * size] for i in range(count)]
+    else:
+        blocks = [rng.sample(range(n), size) for _ in range(count)]
+    for _ in range(rng.randint(0, 3) if blocks else 0):  # duplicates
+        blocks.insert(rng.randrange(len(blocks) + 1), rng.choice(blocks))
+    return PackingFamily.of(n, blocks, Fraction(rng.randint(1, 4), rng.randint(1, 6)))
+
+
+@pytest.mark.parametrize("row_cells", [1, 7, 64, pack.GRAM_ROW_CELLS])
+def test_verify_packing_matches_dense_oracle(monkeypatch, row_cells):
+    # small row budgets split the Gram matrix into many row blocks; the
+    # whole report, worst pair included, must not depend on the split
+    monkeypatch.setattr(pack, "GRAM_ROW_CELLS", row_cells)
+    rng = random.Random(61)
+    seen_dup = seen_zero = seen_tie = False
+    for _ in range(750):
+        fam = random_family(rng, rng.randint(0, 24) if rng.random() < 0.9 else rng.randint(60, 130))
+        rep = verify_packing(fam)
+        assert rep == naive_verify_packing(fam), fam
+        seen_dup |= not rep.distinct
+        seen_zero |= rep.pairs_checked > 0 and rep.max_intersection == 0
+        if rep.pairs_checked > 1:
+            inter = [b1.intersection_size(b2) for b1, b2 in combinations(fam.blocks, 2)]
+            seen_tie |= inter.count(rep.max_intersection) > 1
+    assert seen_dup and seen_zero and seen_tie
+    # the 0-point ground set: every block is empty, so any two coincide
+    empty = PackingFamily(0, (Subset(0, 0),) * 3, Fraction(1, 2), Fraction(0))
+    assert verify_packing(empty) == naive_verify_packing(empty)
+
+
+def test_verify_packing_refuses_inexact_float32():
+    n = 1 << 24
+    fam = PackingFamily(n, (Subset(n, 1), Subset(n, 2)), Fraction(1, 2), Fraction(1, n))
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        verify_packing(fam)
+
+
+def test_sweep_reports_match_oracles():
+    for n, alpha in SWEEP:
+        fam, trace = construct_packing_traced(n, alpha)
+        assert trace.report == naive_verify_packing(fam), (n, alpha)
+        assert shared_constituent_violations(trace) == naive_shared_constituent_violations(trace) == 0
+        node = trace.sub
+        while node is not None:  # each level's record against its rebuilt family
+            sub_fam = construct_packing(node.requested_n, node.alpha)
+            assert node.report == naive_verify_packing(sub_fam), (n, alpha, node.requested_n)
+            node = node.sub
+
+
+def test_shared_constituent_violations_match_oracle():
+    def level(constituents, sub=None):
+        rep = verify_packing(PackingFamily(1, (), Fraction(1), Fraction(0)))
+        return LevelTrace(8, 8, Fraction(1, 2), False, False, 4, 3, (2, 3),
+                          constituents, len(constituents), 1, rep, sub)
+
+    # blocks 0,1 share coordinates 0 and 1; blocks 2,3 agree everywhere,
+    # so each of the 3 coordinate pairs counts them; the sub level adds 1
+    top = level(((0, 0, 1), (0, 0, 2), (1, 2, 0), (1, 2, 0)), level(((4, 5), (4, 5), (5, 4))))
+    assert shared_constituent_violations(top) == naive_shared_constituent_violations(top) == 1 + 3 + 1
+    rng = random.Random(7)
+    for _ in range(300):
+        width, q = rng.randint(2, 5), rng.randint(1, 9)
+        rows = tuple(tuple(rng.randrange(q) for _ in range(width)) for _ in range(rng.randint(1, 40)))
+        trace = level(rows, level(rows[: len(rows) // 2]) if rng.random() < 0.5 else None)
+        assert shared_constituent_violations(trace) == naive_shared_constituent_violations(trace)
 
 
 def test_construct_base_case():
