@@ -10,13 +10,15 @@ violator certificate (a left set I with |N(I)| < |I|).  The certificate
 comes from the alternating-path walk that also gives König's minimum
 vertex cover (``alternating_reach``, shared with the hypercube doubling).
 
-Adjacency is kept as bit vectors so the dense conflict graphs scan a
-whole neighbourhood per word; the matching itself is a layered
-(Hopcroft-Karp style) augmenting-path search.
+That walk is the only breadth-first search here: each of its layers is
+one OR of bit-vector adjacency rows, so a dense row costs a few word
+operations, not one step per neighbour.  The matching is Hopcroft-Karp:
+each phase takes its layers from the walk, and the augmenting search
+keeps one untried right mask per layer, so a right vertex is tried at
+most once per phase.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,93 +75,87 @@ def conflict_graph(c: Collection) -> ConflictGraph:
 def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int], list[int]]:
     """Maximum matching for bitmask adjacency rows; returns (match_l, match_r).
 
-    Layered phases: a BFS from the free left vertices fixes the shortest
-    augmenting length, then depth-first searches augment along strictly
-    layer-increasing edges only.  Unmatched entries are -1.
+    Each Hopcroft-Karp phase takes the right layers, up to the first free
+    right vertex, from ``alternating_reach``; an iterative depth-first
+    search then augments along vertex-disjoint shortest paths, a left
+    vertex at depth k taking and clearing the lowest bit of
+    ``adj[u] & untried[k]``.  Unmatched entries are -1.
     """
     n_left = len(adj)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-    INF = n_left + n_right + 1
-    dist = [INF] * n_left
-
-    def bfs() -> int | None:
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        shortest = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= shortest:
-                continue
-            for j in iter_bits(adj[u]):
-                w = match_r[j]
-                if w == -1:
-                    shortest = min(shortest, dist[u] + 1)
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return None if shortest == INF else shortest
-
-    def dfs(u: int, shortest: int) -> bool:
-        for j in iter_bits(adj[u]):
-            w = match_r[j]
-            if w == -1:
-                if dist[u] + 1 != shortest:
-                    continue
-            elif dist[w] != dist[u] + 1 or not dfs(w, shortest):
-                continue
-            match_l[u] = j
-            match_r[j] = u
-            return True
-        dist[u] = INF
-        return False
-
+    free_r = (1 << n_right) - 1
     while True:
-        shortest = bfs()
-        if shortest is None:
-            break
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u, shortest)
-    return match_l, match_r
+        free_l = [u for u in range(n_left) if match_l[u] == -1]
+        _, untried = alternating_reach(adj, match_r, free_l, free_r)
+        if not untried or not untried[-1] & free_r:
+            return match_l, match_r
+        untried[-1] &= free_r
+        last = len(untried) - 1
+        for start in free_l:
+            path, picks = [start], []  # path[k] is at depth k, picks[k] leaves it
+            while path:
+                k = len(path) - 1
+                options = adj[path[k]] & untried[k]
+                if not options:  # dead end: drop it and the pick that led here
+                    path.pop()
+                    if picks:
+                        picks.pop()
+                    continue
+                j = (options & -options).bit_length() - 1
+                untried[k] ^= 1 << j
+                picks.append(j)
+                if k < last:
+                    path.append(match_r[j])
+                    continue
+                free_r ^= 1 << j
+                for u, j in zip(path, picks):
+                    match_l[u] = j
+                    match_r[j] = u
+                break
 
 
 def alternating_reach(
-    adj: Sequence[int], match_r: Sequence[int], starts: Iterable[int]
-) -> tuple[int, int]:
-    """(left, right) bitmasks alternating-reachable from the left ``starts``.
+    adj: Sequence[int], match_r: Sequence[int], starts: Iterable[int], stop: int = 0
+) -> tuple[int, list[int]]:
+    """Left bitmask and per-layer right bitmasks alternating-reachable from
+    the left ``starts``.
 
     The walk leaves a left vertex along any edge and returns along a
-    matching edge.  Started from free left vertices of a maximum matching,
-    every reached right vertex is matched (else an augmenting path
-    existed), so ``right`` is exactly N(left): the left side of König's
-    cover is everything outside ``left``, the right side is ``right``.
+    matching edge; each layer is one OR of adjacency rows.  It halts after
+    the first layer that meets the free right vertices ``stop``; reaching
+    any other free right vertex raises.  Started from free left vertices of
+    a maximum matching with no ``stop``, every reached right vertex is
+    matched, so the union of the layers is exactly N(left): the left side
+    of König's cover is everything outside ``left``, the right side is
+    that union.
     """
     frontier = list(starts)
     left = 0
     for u in frontier:
         left |= 1 << u
     right = 0
+    layers = []
     while frontier:
         reach = 0
         for u in frontier:
             reach |= adj[u]
         reach &= ~right
+        if not reach:
+            break
         right |= reach
+        layers.append(reach)
         frontier = []
-        for j in iter_bits(reach):
+        for j in iter_bits(reach & ~stop):
             w = match_r[j]
             if w == -1:
                 raise RuntimeError("free right vertex reachable: the matching is not maximum")
             if not (left >> w) & 1:
                 left |= 1 << w
                 frontier.append(w)
-    return left, right
+        if reach & stop:
+            break
+    return left, layers
 
 
 def maximum_matching(g: ConflictGraph) -> MatchingResult:
@@ -173,7 +169,8 @@ def maximum_matching(g: ConflictGraph) -> MatchingResult:
     match_l, match_r = max_bipartite_matching(adj, g.n)
     if -1 not in match_l:
         return MatchingResult(Permutation(g.n, tuple(match_l)), None)
-    violator, neighbourhood = alternating_reach(adj, match_r, [match_l.index(-1)])
+    violator, layers = alternating_reach(adj, match_r, [match_l.index(-1)])
+    neighbourhood = sum(layers)  # the layers are disjoint
     if neighbourhood.bit_count() >= violator.bit_count():
         raise RuntimeError("certificate postcondition violated: not a Hall violator")
     return MatchingResult(None, Subset(g.n, violator), Subset(g.n, neighbourhood))

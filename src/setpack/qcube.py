@@ -122,7 +122,8 @@ def _min_vertex_cover(residual: Sequence[int]) -> int:
         adj[even_index[u]] |= 1 << odd_index[w]
     match_l, match_r = max_bipartite_matching(adj, len(odds))
     free = [i for i, x in enumerate(match_l) if x == -1]
-    reach_l, reach_r = alternating_reach(adj, match_r, free)
+    reach_l, layers = alternating_reach(adj, match_r, free)
+    reach_r = sum(layers)  # the layers are disjoint
     unreached = _vertices(~reach_l & ((1 << len(evens)) - 1))
     cover = _bits_of([evens[i] for i in unreached] + [odds[j] for j in _vertices(reach_r)])
     if cover.bit_count() != len(evens) - len(free):

@@ -1,13 +1,16 @@
 """Deliberately naive reference implementations used to cross-check the
 library.  Everything here enumerates and shares no shortcuts with the
-implementations under test, except three former library functions kept
+implementations under test, except five former library functions kept
 verbatim as references: naive_find_simple_permutation, the derandomized
 search in its original one-candidate-at-a-time form, which uses only the
 library's counting functions lambda_simple and sigma (both checked
 against enumeration in test_kappa); naive_verify_packing, the pairwise
-check through one dense Gram matrix; and
-naive_shared_constituent_violations, the dict-counting walk over the
-construction record."""
+check through one dense Gram matrix; naive_shared_constituent_violations,
+the dict-counting walk over the construction record; and
+naive_max_bipartite_matching with naive_alternating_reach, the layered
+matching with its per-neighbour queue BFS and recursive DFS, and the
+alternating walk returning (left, right) masks."""
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import ceil
@@ -26,6 +29,7 @@ from setpack import (
     sigma,
 )
 from setpack.pack import LevelTrace, PackingReport
+from setpack.setcore import iter_bits
 
 
 def naive_invertible(c: Collection):
@@ -256,3 +260,93 @@ def naive_shared_constituent_violations(trace: LevelTrace) -> int:
                     violations += sum(v * (v - 1) // 2 for v in buckets.values() if v > 1)
         node = node.sub
     return violations
+
+
+def naive_max_bipartite_matching(adj, n_right: int) -> tuple[list[int], list[int]]:
+    """Maximum matching for bitmask adjacency rows; returns (match_l, match_r).
+
+    Layered phases: a BFS from the free left vertices fixes the shortest
+    augmenting length, then depth-first searches augment along strictly
+    layer-increasing edges only.  Unmatched entries are -1.
+    """
+    n_left = len(adj)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    INF = n_left + n_right + 1
+    dist = [INF] * n_left
+
+    def bfs() -> int | None:
+        queue: deque[int] = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        shortest = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= shortest:
+                continue
+            for j in iter_bits(adj[u]):
+                w = match_r[j]
+                if w == -1:
+                    shortest = min(shortest, dist[u] + 1)
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return None if shortest == INF else shortest
+
+    def dfs(u: int, shortest: int) -> bool:
+        for j in iter_bits(adj[u]):
+            w = match_r[j]
+            if w == -1:
+                if dist[u] + 1 != shortest:
+                    continue
+            elif dist[w] != dist[u] + 1 or not dfs(w, shortest):
+                continue
+            match_l[u] = j
+            match_r[j] = u
+            return True
+        dist[u] = INF
+        return False
+
+    while True:
+        shortest = bfs()
+        if shortest is None:
+            break
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u, shortest)
+    return match_l, match_r
+
+
+def naive_alternating_reach(adj, match_r, starts) -> tuple[int, int]:
+    """(left, right) bitmasks alternating-reachable from the left ``starts``.
+
+    The walk leaves a left vertex along any edge and returns along a
+    matching edge.  Started from free left vertices of a maximum matching,
+    every reached right vertex is matched (else an augmenting path
+    existed), so ``right`` is exactly N(left): the left side of König's
+    cover is everything outside ``left``, the right side is ``right``.
+    """
+    frontier = list(starts)
+    left = 0
+    for u in frontier:
+        left |= 1 << u
+    right = 0
+    while frontier:
+        reach = 0
+        for u in frontier:
+            reach |= adj[u]
+        reach &= ~right
+        right |= reach
+        frontier = []
+        for j in iter_bits(reach):
+            w = match_r[j]
+            if w == -1:
+                raise RuntimeError("free right vertex reachable: the matching is not maximum")
+            if not (left >> w) & 1:
+                left |= 1 << w
+                frontier.append(w)
+    return left, right

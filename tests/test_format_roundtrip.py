@@ -1,7 +1,4 @@
-"""parse(serialize(x)) == x for the three file formats, on generated values.
-
-derandomize=True makes every run draw the same examples, so the suite
-stays reproducible."""
+"""parse(serialize(x)) == x for the three file formats, on generated values."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +16,7 @@ from setpack import (
 from setpack.qcube import parse_cube_edges, serialize_cube_edges
 from setpack.setcore import FormatError
 
-SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+SETTINGS = settings.get_profile("setpack")
 
 
 @st.composite

@@ -15,9 +15,14 @@ from setpack import (
     inverts,
     maximum_matching,
 )
-from setpack.invert import MatchingResult, max_bipartite_matching
+from setpack.invert import MatchingResult, alternating_reach, max_bipartite_matching
 
-from oracles import naive_invertible, random_collection
+from oracles import (
+    naive_alternating_reach,
+    naive_invertible,
+    naive_max_bipartite_matching,
+    random_collection,
+)
 
 
 def test_conflict_graph_examples():
@@ -130,6 +135,41 @@ def test_matching_on_general_bipartite_graph():
     adj = [0b001, 0b001]
     ml, _ = max_bipartite_matching(adj, 3)
     assert sum(1 for x in ml if x != -1) == 1
+
+
+def random_bipartite(rng):
+    """Rows over [0, n_right) at a density drawn from [0, 1], with some rows
+    and columns forced empty; either side may have 0 vertices."""
+    n_left, n_right = rng.randint(0, 20), rng.randint(0, 20)
+    density = rng.choice([0.0, 1.0, rng.random()])
+    cols = rng.getrandbits(n_right) if rng.random() < 0.3 else (1 << n_right) - 1
+    rows = [sum(1 << j for j in range(n_right) if rng.random() < density) for _ in range(n_left)]
+    return [0 if rng.random() < 0.1 else row & cols for row in rows], n_right
+
+
+def test_matching_and_walk_equal_reference_kernel():
+    # the phase walk and the per-layer untried masks admit exactly the
+    # edges of the queue BFS and its dist test, in the same order
+    rng = random.Random(10)
+    for _ in range(2500):
+        adj, n_right = random_bipartite(rng)
+        match_l, match_r = max_bipartite_matching(adj, n_right)
+        assert (match_l, match_r) == naive_max_bipartite_matching(adj, n_right)
+        free = [u for u, j in enumerate(match_l) if j == -1]
+        starts = [u for u in free if rng.random() < 0.5]
+        for s in (free, starts):
+            left, layers = alternating_reach(adj, match_r, s)
+            assert (left, sum(layers)) == naive_alternating_reach(adj, match_r, s)
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # the first phase leaves left n-1 free; the second augments along the
+    # whole chain, a path far deeper than the interpreter's recursion limit
+    n = 3000
+    adj = [1 << (n - 1 - i) | (1 << (n - 2 - i) if i < n - 1 else 0) for i in range(n)]
+    match_l, match_r = max_bipartite_matching(adj, n)
+    assert sorted(match_l) == list(range(n))
+    assert all((adj[u] >> j) & 1 and match_r[j] == u for u, j in enumerate(match_l))
 
 
 def test_disjoint_criterion():
