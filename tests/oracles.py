@@ -218,8 +218,9 @@ def naive_find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
 
 
 def naive_verify_packing(f: PackingFamily) -> PackingReport:
-    """setpack.verify_packing as first written: the full count x count
-    float32 Gram matrix, the flat argmax giving the first pair reaching the
+    """setpack.verify_packing's old kernel, as first written: the full
+    count x count float32 Gram matrix of the 0/1 rows (exact below
+    n = 2**24), the flat argmax giving the first pair reaching the
     maximum."""
     size = f.block_size
     threshold = f.declared_alpha * size

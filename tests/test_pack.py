@@ -18,6 +18,7 @@ from setpack import (
 from setpack import pack
 from setpack.pack import (
     LevelTrace,
+    PackingReport,
     construct_packing_traced,
     no_three_invertible_family,
     parse_family,
@@ -119,11 +120,25 @@ def random_family(rng, n):
     return PackingFamily.of(n, blocks, Fraction(rng.randint(1, 4), rng.randint(1, 6)))
 
 
-@pytest.mark.parametrize("row_cells", [1, 7, 64, pack.GRAM_ROW_CELLS])
-def test_verify_packing_matches_dense_oracle(monkeypatch, row_cells):
-    # small row budgets split the Gram matrix into many row blocks; the
+@pytest.fixture(scope="module")
+def wide_families():
+    """Families whose counts pass 255 and 65,535, with their oracle reports:
+    an accumulator too narrow for the block size wraps silently.  Blocks
+    0,1 and 0,2 meet in size - 1 points.  The oracle runs once per size,
+    as it takes about a second on each 65,536-point family."""
+    cases = []
+    for size in (255, 256, 257, 65_535, 65_536, 65_537):
+        blocks = [range(size), range(1, size + 1), [*range(size - 1), size + 1]]
+        fam = PackingFamily.of(size + 2, blocks, Fraction(1, 2))
+        cases.append((fam, naive_verify_packing(fam)))
+    return cases
+
+
+@pytest.mark.parametrize("row_cells", [1, 7, 64, pack.ROW_BLOCK_CELLS])
+def test_verify_packing_matches_dense_oracle(monkeypatch, wide_families, row_cells):
+    # small row budgets split the counts into many row blocks; the
     # whole report, worst pair included, must not depend on the split
-    monkeypatch.setattr(pack, "GRAM_ROW_CELLS", row_cells)
+    monkeypatch.setattr(pack, "ROW_BLOCK_CELLS", row_cells)
     rng = random.Random(61)
     seen_dup = seen_zero = seen_tie = False
     for _ in range(750):
@@ -139,13 +154,16 @@ def test_verify_packing_matches_dense_oracle(monkeypatch, row_cells):
     # the 0-point ground set: every block is empty, so any two coincide
     empty = PackingFamily(0, (Subset(0, 0),) * 3, Fraction(1, 2), Fraction(0))
     assert verify_packing(empty) == naive_verify_packing(empty)
+    for fam, oracle in wide_families:
+        assert verify_packing(fam) == oracle, fam.block_size
 
 
-def test_verify_packing_refuses_inexact_float32():
+def test_verify_packing_exact_on_huge_ground_set():
+    # 2**24 points, where float32 counts would stop being exact
     n = 1 << 24
-    fam = PackingFamily(n, (Subset(n, 1), Subset(n, 2)), Fraction(1, 2), Fraction(1, n))
-    with pytest.raises(ValueError, match="2\\*\\*24"):
-        verify_packing(fam)
+    top = 1 << (n - 1)
+    fam = PackingFamily(n, (Subset(n, 1 | top), Subset(n, 2 | top)), Fraction(1), Fraction(2, n))
+    assert verify_packing(fam) == PackingReport(True, 1, 1, Fraction(2), 2, True, (0, 1))
 
 
 def test_sweep_reports_match_oracles():
