@@ -27,7 +27,9 @@ from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
 from .setcore import Collection, FormatError, Permutation, Subset
 
-DEFAULT_SQUARE_LIMIT = 14
+# The largest n at which `cube build --assist` plus `cube verify` finish in
+# under 10 s: 5.3 s at n = 18, 19.5 s at n = 19 (2-core VM).
+DEFAULT_SQUARE_LIMIT = 18
 
 
 def _clear(d: int, width: int) -> int:
@@ -40,17 +42,46 @@ def _clear(d: int, width: int) -> int:
     return mask
 
 
-def _bits_of(vertices: Sequence[int]) -> int:
-    """Bit vector with the bits at the given non-negative positions set."""
-    flags = np.zeros(max(vertices, default=-1) + 1, dtype=bool)
-    flags[vertices] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+_BLOCK = 1 << 16  # bits per pass of _bits_of: its flags take this many bytes
+_MAX_BITS = 1 << 32  # longest bit vector _bits_of builds: 512 MiB packed
 
 
-def _vertices(bits: int) -> list[int]:
-    """Positions of the set bits of ``bits >= 0``, in increasing order."""
+def _bits_of(vertices: np.ndarray) -> int:
+    """Bit vector with the bits at the given non-negative positions set.
+
+    The sorted positions are packed one block of ``_BLOCK`` bits at a
+    time, and only the blocks that hold some, so besides the packed bytes
+    only one block holds a byte per bit.  Vectors longer than ``_MAX_BITS``
+    are refused before any memory is taken for them.
+    """
+    vertices = np.sort(vertices)
+    if not vertices.size:
+        return 0
+    if vertices[-1] >= _MAX_BITS:
+        raise MemoryError(f"a bit vector with bit {vertices[-1]} set is longer than {_MAX_BITS} bits")
+    packed = np.zeros(int(vertices[-1]) // 8 + 1, np.uint8)
+    flags = np.empty(min(_BLOCK, 8 * packed.size), bool)
+    for part in np.split(vertices, np.flatnonzero(np.diff(vertices // _BLOCK)) + 1):
+        start = int(part[0]) // _BLOCK * _BLOCK
+        block = flags[: min(_BLOCK, 8 * packed.size - start)]
+        block[:] = False
+        block[part - start] = True
+        packed[start // 8 : start // 8 + block.size // 8] = np.packbits(block, bitorder="little")
+    return int.from_bytes(packed, "little")
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    """True where ``v >= 0`` has an odd number of set bits."""
+    v = v.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (v & 1).astype(bool)
+
+
+def _vertices(bits: int) -> np.ndarray:
+    """Positions of the set bits of ``bits >= 0``, increasing, as int64."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 @dataclass(frozen=True)
@@ -70,14 +101,20 @@ class CubeEdgeSet:
                 raise ValueError(f"direction {d}: not a set of canonical edges of Q_{self.n}")
 
     @classmethod
-    def of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "CubeEdgeSet":
-        """From (vertex, direction) pairs, the direction bit clear in the vertex."""
-        vertices: list[list[int]] = [[] for _ in range(n)]
-        for v, d in edges:
-            if not (0 <= d < n and v >= 0 and not v >> n):
-                raise ValueError(f"edge ({v}, {d}) outside Q_{n}")
-            vertices[d].append(v)
-        return cls(n, tuple(_bits_of(vs) if vs else 0 for vs in vertices))
+    def of(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "CubeEdgeSet":
+        """From (vertex, direction) pairs, the direction bit clear in the
+        vertex: any iterable of pairs, or an int64 array of such rows."""
+        try:
+            rows = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+        except OverflowError:
+            raise ValueError(f"an edge of Q_{n} has a vertex beyond 2^63") from None
+        v, d = rows.reshape(-1, 2).T
+        outside = (d < 0) | (d >= n) | (v < 0) | (v >> min(n, 63) != 0)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"edge ({v[i]}, {d[i]}) outside Q_{n}")
+        by_dir = np.split(v[np.argsort(d)], np.cumsum(np.bincount(d, minlength=n)))[:n]
+        return cls(n, tuple(map(_bits_of, by_dir)))
 
     def __len__(self) -> int:
         return sum(bits.bit_count() for bits in self.dirs)
@@ -103,6 +140,22 @@ def is_square_blocking(m: CubeEdgeSet, limit: int = DEFAULT_SQUARE_LIMIT) -> boo
     return True
 
 
+def _residual_graph(residual: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The Q_n edges whose per-direction bit vectors are ``residual``, as a
+    bipartite graph by label parity: the sorted even and odd endpoints, and
+    for each even one the bit mask of its odd neighbours' indices."""
+    lo = [_vertices(bits) for bits in residual]
+    hi = [v | 1 << d for d, v in enumerate(lo)]
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    odd = _parity(lo)  # lo and hi differ in one bit, so exactly one of them is even
+    evens, even_at = np.unique(np.where(odd, hi, lo), return_inverse=True)
+    odds, odd_at = np.unique(np.where(odd, lo, hi), return_inverse=True)
+    adj = [0] * len(evens)
+    for i, j in zip(even_at.tolist(), odd_at.tolist()):
+        adj[i] |= 1 << j
+    return evens, odds, adj
+
+
 def _min_vertex_cover(residual: Sequence[int]) -> int:
     """Minimum vertex cover, as a vertex bit mask, of the Q_n edges whose
     per-direction bit vectors are ``residual``, by matching duality.
@@ -111,21 +164,13 @@ def _min_vertex_cover(residual: Sequence[int]) -> int:
     is (even side minus the alternating-reachable set) plus (odd side
     intersected with it), and its size equals the matching size.
     """
-    edges = [(v, v | 1 << d) for d, bits in enumerate(residual) for v in _vertices(bits)]
-    pairs = [(v, w) if v.bit_count() % 2 == 0 else (w, v) for v, w in edges]
-    evens = sorted({u for u, _ in pairs})
-    odds = sorted({w for _, w in pairs})
-    even_index = {v: i for i, v in enumerate(evens)}
-    odd_index = {v: i for i, v in enumerate(odds)}
-    adj = [0] * len(evens)
-    for u, w in pairs:
-        adj[even_index[u]] |= 1 << odd_index[w]
+    evens, odds, adj = _residual_graph(residual)
     match_l, match_r = max_bipartite_matching(adj, len(odds))
     free = [i for i, x in enumerate(match_l) if x == -1]
     reach_l, layers = alternating_reach(adj, match_r, free)
     reach_r = sum(layers)  # the layers are disjoint
     unreached = _vertices(~reach_l & ((1 << len(evens)) - 1))
-    cover = _bits_of([evens[i] for i in unreached] + [odds[j] for j in _vertices(reach_r)])
+    cover = _bits_of(np.concatenate([evens[unreached], odds[_vertices(reach_r)]]))
     if cover.bit_count() != len(evens) - len(free):
         raise RuntimeError("cover size differs from the matching size")
     for d, bits in enumerate(residual):
@@ -136,12 +181,12 @@ def _min_vertex_cover(residual: Sequence[int]) -> int:
 
 def _permute_directions(m: CubeEdgeSet, p: Permutation) -> tuple[int, ...]:
     """Coordinate-permutation automorphism: relabel vertex bits and directions."""
-    relabel = [0]  # relabel[v] for the vertices below 2^b, doubled per bit b
+    relabel = np.zeros(1, np.int64)  # relabel[v] for the vertices below 2^b, doubled per bit b
     for b in range(m.n):
-        relabel += [w | 1 << p.image[b] for w in relabel]
+        relabel = np.concatenate([relabel, relabel | 1 << p.image[b]])
     out = [0] * m.n
     for d, bits in enumerate(m.dirs):
-        out[p.image[d]] = _bits_of([relabel[v] for v in _vertices(bits)])
+        out[p.image[d]] = _bits_of(relabel[_vertices(bits)])
     return tuple(out)
 
 
@@ -180,11 +225,14 @@ def direction_collection(m: CubeEdgeSet) -> Collection:
     small sets are what the assisted construction asks to invert.
     """
     n, full = m.n, (1 << m.n) - 1
-    present = [0] * (full + 1)
+    present = np.zeros(full + 1, np.int64)
+    degree = np.zeros(full + 1, np.int64)
     for d, bits in enumerate(m.dirs):
-        for v in _vertices(bits | bits << (1 << d)):
-            present[v] |= 1 << d
-    return Collection(n, tuple(Subset(n, full - p) for p in present if 2 * p.bit_count() >= n))
+        ends = _vertices(bits | bits << (1 << d))
+        present[ends] |= 1 << d
+        degree[ends] += 1
+    heavy = present[2 * degree >= n].tolist()
+    return Collection(n, tuple(Subset(n, full - p) for p in heavy))
 
 
 def inversion_assisted_blocking(
@@ -213,35 +261,122 @@ def inversion_assisted_blocking(
     return result, len(plain) - len(result)
 
 
-def parse_cube_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Header n and (vertex, direction) pairs of a cube edge file, checked
-    line by line but with no bit vector built: a caller may refuse n first."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
+_PARSE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end
+
+
+def parse_cube_edge_list(text: str) -> tuple[int, np.ndarray]:
+    """Header n and the checked edges of a cube edge file, as an int64 array
+    of (vertex, direction) rows.  No bit vector is built: a caller may refuse
+    n first.
+
+    The file is ASCII: '#' comment lines and blank lines anywhere, spaces or
+    tabs around and between the two fields, '\n' or '\r\n' line ends.  It is
+    checked as byte arrays of whole lines, about ``_PARSE_BLOCK`` bytes at a
+    time.
+    """
+    if not text.isascii():
+        raise FormatError("cube edge files are ASCII")
+    raw = text.encode("ascii")
+    data = np.frombuffer(raw, np.uint8)
+    rows = np.empty((raw.count(b"\n") + 1, 2), np.int64)  # at most one edge per line
+    n, count, at = None, 0, 0
+    while at < len(raw):
+        end = raw.find(b"\n", at + _PARSE_BLOCK) + 1 or len(raw)
+        n, block_rows = _parse_block(data[at:end], n)
+        rows[count : count + len(block_rows)] = block_rows
+        count, at = count + len(block_rows), end
+    if n is None:
         raise FormatError("missing dimension header")
-    try:
-        n = int(lines[0], 10)
-    except ValueError:
-        raise FormatError(f"bad dimension {lines[0]!r}") from None
-    if n < 0:
-        raise FormatError(f"dimension {n} must be non-negative")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        vertex_str, d_str = parts
-        if len(vertex_str) != n or set(vertex_str) - {"0", "1"}:
-            raise FormatError(f"vertex {vertex_str!r} is not an {n}-bit binary string")
-        if not d_str.isdecimal():
-            raise FormatError(f"bad direction {d_str!r}")
-        v, d = int(vertex_str, 2), int(d_str, 10)
-        if d >= n:
-            raise FormatError(f"direction {d} outside [0, {n})")
-        if (v >> d) & 1:
-            raise FormatError(f"edge {ln!r} not canonical: direction bit set in vertex")
-        edges.append((v, d))
-    return n, edges
+    return n, rows[:count]
+
+
+def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarray]:
+    """Check whole lines of a cube edge file, reading the header first if
+    ``n`` is None; returns n and the lines' (vertex, direction) rows.  Per
+    byte it holds only bytes and flags, per line a few int64 offsets."""
+    newlines = np.flatnonzero(data == 10)
+
+    def check(bad: np.ndarray, at: np.ndarray | None, what: str) -> None:
+        """Refuse the file at the first flagged position (of ``at``, or of
+        the bytes if None), quoting its line."""
+        if bad.any():
+            k = np.argmax(bad)
+            i = int(np.searchsorted(newlines, k if at is None else at[k]))
+            start = newlines[i - 1] + 1 if i else 0
+            end = newlines[i] if i < newlines.size else data.size
+            raise FormatError(f"{what}: {data[start:end].tobytes().decode().strip()!r}")
+
+    check((data < 32) & (data != 9) & (data != 10) & (data != 13), None, "control character")
+    after = np.flatnonzero(data == 13) + 1
+    lone = (after == data.size) | (data[np.minimum(after, data.size - 1)] != 10)
+    check(lone, after - 1, "carriage return without line feed")
+
+    # tokens: maximal runs of bytes above the blanks (space, tab, '\r', '\n')
+    inside = np.zeros(data.size + 2, bool)
+    np.greater(data, 32, out=inside[1:-1])
+    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(newlines, starts)
+    first = np.ones(line.size, bool)  # the first token of its line
+    first[1:] = line[1:] != line[:-1]
+    comment = first & (data[starts] == 35)  # '#'
+    keep = ~comment[first][np.cumsum(first) - 1]
+    starts, ends, line = starts[keep], ends[keep], line[keep]
+
+    if n is None:
+        if not starts.size:
+            return None, np.zeros((0, 2), np.int64)
+        check(line[1:2] == line[0], starts[:1], "bad dimension line")
+        header = data[starts[0] : ends[0]].tobytes().decode()
+        try:
+            n = int(header, 10)
+        except ValueError:
+            raise FormatError(f"bad dimension {header!r}") from None
+        if n < 0:
+            raise FormatError(f"dimension {n} must be non-negative")
+        starts, ends, line = starts[1:], ends[1:], line[1:]
+
+    # each line holds two tokens: pair them up and check the pairs' lines
+    if line.size % 2:
+        line = np.append(line, -1)
+    lead, follow = line[0::2], line[1::2]
+    split = lead != follow
+    split[1:] |= lead[1:] == lead[:-1]
+    check(split, starts[0::2], "an edge line is '<vertex> <direction>'")
+    vs, ve, ds, de = starts[0::2], ends[0::2], starts[1::2], ends[1::2]
+    check(ve - vs != n, vs, f"vertex is not {n} binary digits")
+    if not vs.size:
+        return n, np.zeros((0, 2), np.int64)
+
+    bits = np.lib.stride_tricks.sliding_window_view(data, n)[vs] - np.uint8(48)
+    check((bits > 1).any(axis=1), vs, f"vertex is not {n} binary digits")
+    check(bits[:, : max(n - 63, 0)].any(axis=1), vs, "vertex beyond 2^63")
+    width = min(n, 63)
+    packed = np.packbits(bits[:, n - width :], axis=1)
+    words = np.zeros((vs.size, 8), np.uint8)
+    words[:, 8 - packed.shape[1] :] = packed
+    v = words.view(">u8")[:, 0].astype(np.int64) >> (8 * packed.shape[1] - width)
+
+    def within(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Flags of the bytes in [first, last) of each token."""
+        span = np.zeros(data.size + 1, np.int8)
+        span[first] += 1
+        span[last] -= 1
+        return np.cumsum(span[:-1], dtype=np.int8).view(bool)
+
+    # a direction is decimal digits; any below n fits in the last len(str(n))
+    digits = len(str(n))
+    length = de - ds
+    check(within(ds, de) & (data - np.uint8(48) > 9), None, "bad direction")
+    head = within(ds, np.maximum(ds, de - digits))  # leading zeros, or 10^digits > n
+    check(head & (data != 48), None, f"direction outside [0, {n})")
+    window = np.lib.stride_tricks.sliding_window_view(data, digits)[de - digits]
+    d = np.zeros(ds.size, np.int64)
+    for k in range(digits):
+        d = 10 * d + np.where(length >= digits - k, window[:, k] - 48, 0)
+    check(d >= n, ds, f"direction outside [0, {n})")
+    check(v >> np.minimum(d, 63) & 1 == 1, vs, "direction bit set in the vertex")
+    return n, np.stack([v, d], axis=1)
 
 
 def parse_cube_edges(text: str) -> CubeEdgeSet:
@@ -251,5 +386,22 @@ def parse_cube_edges(text: str) -> CubeEdgeSet:
 
 
 def serialize_cube_edges(m: CubeEdgeSet) -> str:
-    edges = sorted((v, d) for d, bits in enumerate(m.dirs) for v in _vertices(bits))
-    return "".join([f"{m.n}\n", *(f"{v:0{m.n}b} {d}\n" for v, d in edges)])
+    """The file of m: the header n, then one line '<vertex as n binary
+    digits> <direction>' per edge in (vertex, direction) order, written
+    from the per-direction vertex arrays with one sort and one buffer."""
+    n = m.n
+    key = np.sort(np.concatenate([np.zeros(0, np.int64), *(n * _vertices(bits) + d for d, bits in enumerate(m.dirs))]))
+    v, d = np.divmod(key, n)
+    digits = len(str(n - 1))
+    rows = np.zeros((key.size, n + digits + 2), np.uint8)  # 0 bytes are dropped
+    rows[:, :n] = 48  # '0'
+    width = min(n, 64)
+    size = -(-width // 8)
+    big_endian = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :]
+    rows[:, n - width : n] |= np.unpackbits(big_endian, axis=1)[:, 8 * size - width :]
+    rows[:, n] = 32  # ' '
+    for k in range(digits):
+        place = 10 ** (digits - 1 - k)
+        rows[:, n + 1 + k] = np.where((d >= place) | (place == 1), 48 + d // place % 10, 0)
+    rows[:, -1] = 10  # '\n'
+    return f"{n}\n" + rows[rows != 0].tobytes().decode("ascii")

@@ -6,10 +6,13 @@ search in its original one-candidate-at-a-time form, which uses only the
 library's counting functions lambda_simple and sigma (both checked
 against enumeration in test_kappa); naive_verify_packing, the pairwise
 check through one dense Gram matrix; naive_shared_constituent_violations,
-the dict-counting walk over the construction record; and
+the dict-counting walk over the construction record;
 naive_max_bipartite_matching with naive_alternating_reach, the layered
 matching with its per-neighbour queue BFS and recursive DFS, and the
-alternating walk returning (left, right) masks."""
+alternating walk returning (left, right) masks; and the cube edge file's
+line-by-line parser naive_parse_cube_edge_list, its tuple-sorting writer
+naive_serialize_cube_edges and naive_residual_graph, the comprehension-
+built index maps of the cube doubling's vertex cover."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,7 +32,7 @@ from setpack import (
     sigma,
 )
 from setpack.pack import LevelTrace, PackingReport
-from setpack.setcore import iter_bits
+from setpack.setcore import FormatError, iter_bits
 
 
 def naive_invertible(c: Collection):
@@ -351,3 +354,60 @@ def naive_alternating_reach(adj, match_r, starts) -> tuple[int, int]:
                 left |= 1 << w
                 frontier.append(w)
     return left, right
+
+
+def naive_vertices(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits >= 0``, in increasing order."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def naive_parse_cube_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Header n and (vertex, direction) pairs of a cube edge file, checked
+    line by line but with no bit vector built: a caller may refuse n first."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError("missing dimension header")
+    try:
+        n = int(lines[0], 10)
+    except ValueError:
+        raise FormatError(f"bad dimension {lines[0]!r}") from None
+    if n < 0:
+        raise FormatError(f"dimension {n} must be non-negative")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad edge line {ln!r}")
+        vertex_str, d_str = parts
+        if len(vertex_str) != n or set(vertex_str) - {"0", "1"}:
+            raise FormatError(f"vertex {vertex_str!r} is not an {n}-bit binary string")
+        if not d_str.isdecimal():
+            raise FormatError(f"bad direction {d_str!r}")
+        v, d = int(vertex_str, 2), int(d_str, 10)
+        if d >= n:
+            raise FormatError(f"direction {d} outside [0, {n})")
+        if (v >> d) & 1:
+            raise FormatError(f"edge {ln!r} not canonical: direction bit set in vertex")
+        edges.append((v, d))
+    return n, edges
+
+
+def naive_serialize_cube_edges(m) -> str:
+    edges = sorted((v, d) for d, bits in enumerate(m.dirs) for v in naive_vertices(bits))
+    return "".join([f"{m.n}\n", *(f"{v:0{m.n}b} {d}\n" for v, d in edges)])
+
+
+def naive_residual_graph(residual) -> tuple[list[int], list[int], list[int]]:
+    """(evens, odds, adj) of the cube cover's residual graph, built as the
+    library's _min_vertex_cover first built them."""
+    edges = [(v, v | 1 << d) for d, bits in enumerate(residual) for v in naive_vertices(bits)]
+    pairs = [(v, w) if v.bit_count() % 2 == 0 else (w, v) for v, w in edges]
+    evens = sorted({u for u, _ in pairs})
+    odds = sorted({w for _, w in pairs})
+    even_index = {v: i for i, v in enumerate(evens)}
+    odd_index = {v: i for i, v in enumerate(odds)}
+    adj = [0] * len(evens)
+    for u, w in pairs:
+        adj[even_index[u]] |= 1 << odd_index[w]
+    return evens, odds, adj

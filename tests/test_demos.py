@@ -1,0 +1,27 @@
+"""Every narrative demo runs to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_five_demos_are_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

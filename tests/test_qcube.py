@@ -55,8 +55,9 @@ def test_square_check_limits(monkeypatch):
         is_square_blocking(CubeEdgeSet(1, (0,)))
     with pytest.raises(ValueError):
         is_square_blocking(CubeEdgeSet(0, ()))
+    over = qcube.DEFAULT_SQUARE_LIMIT + 1
     with pytest.raises(ValueError):
-        is_square_blocking(CubeEdgeSet(15, (0,) * 15))
+        is_square_blocking(CubeEdgeSet(over, (0,) * over))
     with pytest.raises(ValueError):
         is_square_blocking(CubeEdgeSet.of(5, []), limit=4)
     assert not is_square_blocking(CubeEdgeSet(15, (0,) * 15), limit=15)
