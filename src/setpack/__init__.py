@@ -7,6 +7,7 @@ from .setcore import (
     Subset,
     apply,
     complement,
+    inverted,
     inverts,
     parse_collection,
     parse_permutation,
@@ -16,7 +17,6 @@ from .setcore import (
 from .invert import (
     ConflictGraph,
     MatchingResult,
-    brute_force_invertible,
     check_disjoint_criterion,
     check_halfsize_conditions,
     check_triple,

@@ -156,7 +156,7 @@ def _cmd_kappa(args, out: Outcome):
     else:
         perm, count = kappa.find_simple_permutation(col)
         label = "derandomized simple permutation"
-    recheck = sum(1 for s in col.sets if setcore.inverts(perm, s))
+    recheck = int(setcore.inverted(col, perm).sum())
     out.say(setcore.serialize_permutation(perm).strip())
     out.say(f"{label}: inverts {count} of {col.m} sets")
     out.say(

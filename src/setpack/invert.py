@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .setcore import Collection, Permutation, Subset, inverts, iter_bits
+import numpy as np
 
-DEFAULT_BRUTE_LIMIT = 8
+from .setcore import Collection, Permutation, Subset, bit_positions, inverted
+
+GATHER_BYTES = 1 << 16  # packed-row bytes one step of conflict_graph gathers
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,34 @@ class MatchingResult:
 
 
 def conflict_graph(c: Collection) -> ConflictGraph:
-    """adjacency[i] = V minus the union of all member sets containing i."""
+    """adjacency[i] = V minus the union of all member sets containing i.
+
+    A sparse product over the collection's incidence (Gustavson 1978): the
+    membership pairs, grouped by element, gather their sets' packed rows,
+    about ``GATHER_BYTES`` at a time, and one OR-reduction per element
+    gives the row it blocks.
+    """
+    inc = c.incidence
+    # a stable radix sort when the elements fit 16 bits
+    key = inc.elements.astype(np.uint16) if c.n <= 1 << 16 else inc.elements
+    sets = inc.sets[np.argsort(key, kind="stable")]
+    counts = np.bincount(inc.elements, minlength=c.n)
+    held = np.flatnonzero(counts)
+    bounds = np.append(0, np.cumsum(counts[held]))
+    words = inc.rows.view(np.uint64)
+    blocked = np.empty((held.size, words.shape[1]), np.uint64)
+    step = max(1, GATHER_BYTES // max(inc.rows.shape[1], 1))  # pairs per gather
+    g = 0
+    while g < held.size:
+        h = max(g + 1, int(np.searchsorted(bounds, bounds[g] + step, side="right")) - 1)
+        part = words[sets[bounds[g] : bounds[h]]]
+        blocked[g:h] = np.bitwise_or.reduceat(part, bounds[g:h] - bounds[g], axis=0)
+        g = h
     full = (1 << c.n) - 1
-    blocked = [0] * c.n
-    for s in c.sets:
-        for i in iter_bits(s.bits):
-            blocked[i] |= s.bits
-    rows = tuple(Subset(c.n, full & ~blocked[i]) for i in range(c.n))
-    return ConflictGraph(c.n, rows)
+    rows = [full] * c.n
+    for x, row in zip(held.tolist(), blocked):
+        rows[x] = full & ~int.from_bytes(row.tobytes(), "little")
+    return ConflictGraph(c.n, tuple(Subset(c.n, row) for row in rows))
 
 
 def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int], list[int]]:
@@ -146,7 +168,7 @@ def alternating_reach(
         right |= reach
         layers.append(reach)
         frontier = []
-        for j in iter_bits(reach & ~stop):
+        for j in bit_positions(reach & ~stop).tolist():
             w = match_r[j]
             if w == -1:
                 raise RuntimeError("free right vertex reachable: the matching is not maximum")
@@ -177,47 +199,16 @@ def maximum_matching(g: ConflictGraph) -> MatchingResult:
 
 
 def decide_invertible(c: Collection) -> MatchingResult:
-    """Decide invertibility; a returned permutation is re-verified on every set."""
+    """Decide invertibility; a returned permutation is re-verified on every
+    set by one gather over the membership pairs."""
     result = maximum_matching(conflict_graph(c))
     if result.matched is not None:
-        for i, s in enumerate(c.sets):
-            if not inverts(result.matched, s):
-                raise RuntimeError(
-                    f"matching postcondition violated: permutation fails set {i}"
-                )
+        failing = np.flatnonzero(~inverted(c, result.matched))
+        if failing.size:
+            raise RuntimeError(
+                f"matching postcondition violated: permutation fails set {failing[0]}"
+            )
     return result
-
-
-def brute_force_invertible(c: Collection, limit: int = DEFAULT_BRUTE_LIMIT) -> Permutation | None:
-    """Lexicographically first permutation inverting every set, or None.
-
-    Enumerates image arrays in lexicographic order, abandoning a prefix as
-    soon as some assigned point x has pi(x) in a common set with x (no
-    completion can repair that).  Testing oracle; n is capped.
-    """
-    n = c.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds brute-force limit {limit}")
-    set_bits = [s.bits for s in c.sets]
-    image = [-1] * n
-
-    def extend(x: int, used: int) -> bool:
-        if x == n:
-            return True
-        for y in range(n):
-            if (used >> y) & 1:
-                continue
-            if any((b >> x) & 1 and (b >> y) & 1 for b in set_bits):
-                continue
-            image[x] = y
-            if extend(x + 1, used | (1 << y)):
-                return True
-        image[x] = -1
-        return False
-
-    if extend(0, 0):
-        return Permutation(n, tuple(image))
-    return None
 
 
 def check_disjoint_criterion(c: Collection) -> bool:

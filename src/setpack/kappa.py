@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import ceil, comb, factorial
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .setcore import Collection, Permutation, inverts
+from .setcore import Collection, Permutation, inverted, inverts
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 
@@ -188,21 +188,18 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     """
     n = c.n
     m = len(c.sets)
-    sizes = [s.cardinality() for s in c.sets]
-    classes = 2 * (max(sizes, default=0) + 1)  # class index 2u + [a in S]
+    inc = c.incidence
+    sizes = np.bincount(inc.sets, minlength=m)
+    classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
     lam = [[lambda_simple(f, u) for u in range(classes // 2)] for f in range(n + 1)]
     sig = [sigma(f) for f in range(n + 1)]
 
     # (set, element) membership pairs, grouped by element
-    pair_set = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    pair_elem = np.fromiter(
-        chain.from_iterable(s.elements() for s in c.sets), dtype=np.int64, count=len(pair_set)
-    )
-    order = np.argsort(pair_elem, kind="stable")
-    pair_set, pair_elem = pair_set[order], pair_elem[order]
+    order = np.argsort(inc.elements, kind="stable")
+    pair_set, pair_elem = inc.sets[order], inc.elements[order]
     starts = np.searchsorted(pair_elem, np.arange(n + 1))
 
-    live = np.array(sizes, dtype=np.int64)  # |S & free|, for every set
+    live = sizes.copy()  # |S & free|, for every set
     alive = np.ones(m, dtype=bool)
     is_free = np.ones(n, dtype=bool)
     free = list(range(n))
@@ -262,7 +259,7 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
             free = [x for x in free[1:] if x != best_b]
 
     perm = Permutation(n, tuple(image), is_simple=True)
-    count = sum(1 for s in c.sets if inverts(perm, s))
+    count = int(inverted(c, perm).sum())
     bound = kappa_lower_bound(SizeProfile.from_collection(c))
     if count < ceil(bound):
         raise RuntimeError("derandomization guarantee violated")

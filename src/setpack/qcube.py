@@ -25,7 +25,7 @@ import numpy as np
 
 from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
-from .setcore import Collection, FormatError, Permutation, Subset
+from .setcore import Collection, FormatError, Permutation, Subset, bit_positions, read_decimals, scan_tokens
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
 # under 10 s: 5.3 s at n = 18, 19.5 s at n = 19 (2-core VM).
@@ -76,12 +76,6 @@ def _parity(v: np.ndarray) -> np.ndarray:
     for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> shift
     return (v & 1).astype(bool)
-
-
-def _vertices(bits: int) -> np.ndarray:
-    """Positions of the set bits of ``bits >= 0``, increasing, as int64."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ def _residual_graph(residual: Sequence[int]) -> tuple[np.ndarray, np.ndarray, li
     """The Q_n edges whose per-direction bit vectors are ``residual``, as a
     bipartite graph by label parity: the sorted even and odd endpoints, and
     for each even one the bit mask of its odd neighbours' indices."""
-    lo = [_vertices(bits) for bits in residual]
+    lo = [bit_positions(bits) for bits in residual]
     hi = [v | 1 << d for d, v in enumerate(lo)]
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     odd = _parity(lo)  # lo and hi differ in one bit, so exactly one of them is even
@@ -169,8 +163,8 @@ def _min_vertex_cover(residual: Sequence[int]) -> int:
     free = [i for i, x in enumerate(match_l) if x == -1]
     reach_l, layers = alternating_reach(adj, match_r, free)
     reach_r = sum(layers)  # the layers are disjoint
-    unreached = _vertices(~reach_l & ((1 << len(evens)) - 1))
-    cover = _bits_of(np.concatenate([evens[unreached], odds[_vertices(reach_r)]]))
+    unreached = bit_positions(~reach_l & ((1 << len(evens)) - 1))
+    cover = _bits_of(np.concatenate([evens[unreached], odds[bit_positions(reach_r)]]))
     if cover.bit_count() != len(evens) - len(free):
         raise RuntimeError("cover size differs from the matching size")
     for d, bits in enumerate(residual):
@@ -186,7 +180,7 @@ def _permute_directions(m: CubeEdgeSet, p: Permutation) -> tuple[int, ...]:
         relabel = np.concatenate([relabel, relabel | 1 << p.image[b]])
     out = [0] * m.n
     for d, bits in enumerate(m.dirs):
-        out[p.image[d]] = _bits_of(relabel[_vertices(bits)])
+        out[p.image[d]] = _bits_of(relabel[bit_positions(bits)])
     return tuple(out)
 
 
@@ -228,7 +222,7 @@ def direction_collection(m: CubeEdgeSet) -> Collection:
     present = np.zeros(full + 1, np.int64)
     degree = np.zeros(full + 1, np.int64)
     for d, bits in enumerate(m.dirs):
-        ends = _vertices(bits | bits << (1 << d))
+        ends = bit_positions(bits | bits << (1 << d))
         present[ends] |= 1 << d
         degree[ends] += 1
     heavy = present[2 * degree >= n].tolist()
@@ -294,34 +288,23 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
     """Check whole lines of a cube edge file, reading the header first if
     ``n`` is None; returns n and the lines' (vertex, direction) rows.  Per
     byte it holds only bytes and flags, per line a few int64 offsets."""
-    newlines = np.flatnonzero(data == 10)
+    newlines, control, lone_cr, starts, ends, line = scan_tokens(data)
 
-    def check(bad: np.ndarray, at: np.ndarray | None, what: str) -> None:
-        """Refuse the file at the first flagged position (of ``at``, or of
-        the bytes if None), quoting its line."""
+    def refuse(at: int, what: str) -> None:
+        """Refuse the file at byte ``at``, quoting its line."""
+        i = int(np.searchsorted(newlines, at))
+        start = newlines[i - 1] + 1 if i else 0
+        end = newlines[i] if i < newlines.size else data.size
+        raise FormatError(f"{what}: {data[start:end].tobytes().decode().strip()!r}")
+
+    def check(bad: np.ndarray, at: np.ndarray, what: str) -> None:
+        """Refuse the file at the first flagged position of ``at``."""
         if bad.any():
-            k = np.argmax(bad)
-            i = int(np.searchsorted(newlines, k if at is None else at[k]))
-            start = newlines[i - 1] + 1 if i else 0
-            end = newlines[i] if i < newlines.size else data.size
-            raise FormatError(f"{what}: {data[start:end].tobytes().decode().strip()!r}")
+            refuse(int(at[np.argmax(bad)]), what)
 
-    check((data < 32) & (data != 9) & (data != 10) & (data != 13), None, "control character")
-    after = np.flatnonzero(data == 13) + 1
-    lone = (after == data.size) | (data[np.minimum(after, data.size - 1)] != 10)
-    check(lone, after - 1, "carriage return without line feed")
-
-    # tokens: maximal runs of bytes above the blanks (space, tab, '\r', '\n')
-    inside = np.zeros(data.size + 2, bool)
-    np.greater(data, 32, out=inside[1:-1])
-    bounds = np.flatnonzero(inside[1:] != inside[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(newlines, starts)
-    first = np.ones(line.size, bool)  # the first token of its line
-    first[1:] = line[1:] != line[:-1]
-    comment = first & (data[starts] == 35)  # '#'
-    keep = ~comment[first][np.cumsum(first) - 1]
-    starts, ends, line = starts[keep], ends[keep], line[keep]
+    for at, what in ((control, "control character"), (lone_cr, "carriage return without line feed")):
+        if at is not None:
+            refuse(at, what)
 
     if n is None:
         if not starts.size:
@@ -357,24 +340,11 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
     words[:, 8 - packed.shape[1] :] = packed
     v = words.view(">u8")[:, 0].astype(np.int64) >> (8 * packed.shape[1] - width)
 
-    def within(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Flags of the bytes in [first, last) of each token."""
-        span = np.zeros(data.size + 1, np.int8)
-        span[first] += 1
-        span[last] -= 1
-        return np.cumsum(span[:-1], dtype=np.int8).view(bool)
-
     # a direction is decimal digits; any below n fits in the last len(str(n))
-    digits = len(str(n))
-    length = de - ds
-    check(within(ds, de) & (data - np.uint8(48) > 9), None, "bad direction")
-    head = within(ds, np.maximum(ds, de - digits))  # leading zeros, or 10^digits > n
-    check(head & (data != 48), None, f"direction outside [0, {n})")
-    window = np.lib.stride_tricks.sliding_window_view(data, digits)[de - digits]
-    d = np.zeros(ds.size, np.int64)
-    for k in range(digits):
-        d = 10 * d + np.where(length >= digits - k, window[:, k] - 48, 0)
-    check(d >= n, ds, f"direction outside [0, {n})")
+    d, bad, big = read_decimals(data, ds, de, len(str(n)))
+    check(bad, ds, "bad direction")
+    d = d.astype(np.int64)
+    check(big | (d >= n), ds, f"direction outside [0, {n})")
     check(v >> np.minimum(d, 63) & 1 == 1, vs, "direction bit set in the vertex")
     return n, np.stack([v, d], axis=1)
 
@@ -390,7 +360,7 @@ def serialize_cube_edges(m: CubeEdgeSet) -> str:
     digits> <direction>' per edge in (vertex, direction) order, written
     from the per-direction vertex arrays with one sort and one buffer."""
     n = m.n
-    key = np.sort(np.concatenate([np.zeros(0, np.int64), *(n * _vertices(bits) + d for d, bits in enumerate(m.dirs))]))
+    key = np.sort(np.concatenate([np.zeros(0, np.int64), *(n * bit_positions(bits) + d for d, bits in enumerate(m.dirs))]))
     v, d = np.divmod(key, n)
     digits = len(str(n - 1))
     rows = np.zeros((key.size, n + digits + 2), np.uint8)  # 0 bytes are dropped

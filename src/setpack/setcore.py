@@ -4,24 +4,28 @@ Elements are 0-based integers in [0, n).  Subsets are stored as Python
 integers used as bit vectors (bit x set <=> element x present), so the
 ground-set size is bounded only by memory, never by a machine word.
 All types are immutable after construction; every operation is a pure
-function, safe for concurrent use.
+function, safe for concurrent use.  A collection builds its membership
+record (``Incidence``) once, when a bulk consumer first asks for it.
 """
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class FormatError(ValueError):
     """Raised when a collection or permutation file is malformed."""
 
 
-def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``bits`` in increasing order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+def bit_positions(bits: int) -> np.ndarray:
+    """Positions of the set bits of ``bits >= 0``, increasing, as int64."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -55,7 +59,7 @@ class Subset:
         return self.bits.bit_count()
 
     def elements(self) -> list[int]:
-        return list(iter_bits(self.bits))
+        return bit_positions(self.bits).tolist()
 
     def contains(self, x: int) -> bool:
         return bool((self.bits >> x) & 1)
@@ -63,23 +67,44 @@ class Subset:
     def intersection_size(self, other: "Subset") -> int:
         return (self.bits & other.bits).bit_count()
 
-    def isdisjoint(self, other: "Subset") -> bool:
-        return not (self.bits & other.bits)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self.n, self.bits | other.bits)
-
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
+        return iter(self.elements())
 
     def __len__(self) -> int:
         return self.bits.bit_count()
 
     def __repr__(self):
         return f"Subset({self.n}, {{{' '.join(map(str, self.elements()))}}})"
+
+
+class Incidence:
+    """The membership pairs of a collection in CSR order (Gustavson 1978):
+    set ``sets[k]`` holds element ``elements[k]``, both int64, sorted by
+    set and then by element, read from one buffer of the sets' own bytes.
+    ``rows`` packs each set into whole 64-bit words, little-endian, on
+    first use."""
+
+    def __init__(self, n: int, members: Sequence[Subset]):
+        self.n, self._members = n, members
+        widths = np.array([(s.bits.bit_length() + 7) // 8 for s in members], np.int64)
+        buf = b"".join(s.bits.to_bytes(w, "little") for s, w in zip(members, widths.tolist()))
+        raw = np.frombuffer(buf, np.uint8)
+        nonzero = np.flatnonzero(raw)  # small sets leave most bytes 0: unpack the others
+        bits = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
+        at = nonzero[bits >> 3]  # updated in place: the pair arrays dominate memory
+        at <<= 3
+        at |= bits & 7
+        del nonzero, bits
+        ends = 8 * np.cumsum(widths)
+        self.sets = np.searchsorted(ends, at, side="right")
+        at -= (ends - 8 * widths)[self.sets]
+        self.elements = at
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        width = 8 * ((self.n + 63) // 64)
+        buf = b"".join(s.bits.to_bytes(width, "little") for s in self._members)
+        return np.frombuffer(buf, np.uint8).reshape(len(self._members), width)
 
 
 @dataclass(frozen=True)
@@ -103,6 +128,11 @@ class Collection:
     @property
     def m(self) -> int:
         return len(self.sets)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """What every bulk consumer reads; built once, freed with c."""
+        return Incidence(self.n, self.sets)
 
 
 @dataclass(frozen=True)
@@ -136,23 +166,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(n, tuple(range(n)))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        image = list(range(n))
-        image[i], image[j] = image[j], image[i]
-        return cls(n, tuple(image))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Permutation":
-        """Build from disjoint 2-cycles; unmentioned points stay fixed."""
-        image = list(range(n))
-        for a, b in pairs:
-            if image[a] != a or image[b] != b or a == b:
-                raise ValueError("pairs must be disjoint 2-cycles")
-            image[a], image[b] = b, a
-        simple = sum(1 for j, y in enumerate(image) if y == j) == n % 2
-        return cls(n, tuple(image), is_simple=simple)
-
     def __call__(self, x: int) -> int:
         return self.image[x]
 
@@ -171,7 +184,7 @@ def apply(p: Permutation, s: Subset) -> Subset:
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
     bits = 0
-    for x in iter_bits(s.bits):
+    for x in s.elements():
         bits |= 1 << p.image[x]
     return Subset(s.n, bits)
 
@@ -180,10 +193,23 @@ def inverts(p: Permutation, s: Subset) -> bool:
     """True iff p(s) and s are disjoint."""
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
-    for x in iter_bits(s.bits):
+    for x in s.elements():
         if (s.bits >> p.image[x]) & 1:
             return False
     return True
+
+
+def inverted(c: Collection, p: Permutation) -> np.ndarray:
+    """Flags of the member sets that p inverts, by one gather over the
+    membership pairs: set s fails when bit p(x) of its row is set for some
+    x in s.  Empty sets are inverted."""
+    if p.n != c.n:
+        raise ValueError(f"permutation on {p.n} points applied to subsets of [0, {c.n})")
+    inc = c.incidence
+    image = np.asarray(p.image, np.int64)[inc.elements]
+    ok = np.ones(len(c.sets), bool)
+    ok[inc.sets[(inc.rows[inc.sets, image >> 3] >> (image & 7)) & 1 == 1]] = False
+    return ok
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -202,54 +228,175 @@ def _parse_int(token: str, lineno: int) -> int:
         raise FormatError(f"line {lineno}: non-integer token {token!r}") from None
 
 
+def scan_tokens(data: np.ndarray):
+    """Tokens of the whole lines of ASCII text held in ``data``: maximal
+    runs of bytes above the blanks (space, tab, CR, LF), less the lines
+    whose first token starts with '#'.  Returns the offsets of the '\n'
+    bytes; those of the first control character but tab, CR and LF and of
+    the first CR without LF, or None, for the caller to refuse; and the
+    tokens' starts, ends and lines (the count of '\n' before each).  Per
+    byte it holds only bytes and flags, per token a few int64 offsets."""
+    newlines = np.flatnonzero(data == 10)
+
+    def first(flags: np.ndarray) -> int | None:
+        return int(np.argmax(flags)) if flags.any() else None
+
+    control = first((data < 32) & (data != 9) & (data != 10) & (data != 13))
+    lone_cr = first((data == 13) & (np.append(data[1:], 0) != 10))
+
+    inside = np.zeros(data.size + 2, bool)
+    np.greater(data, 32, out=inside[1:-1])
+    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(newlines, starts)
+    lead = np.ones(line.size, bool)  # the first token of its line
+    lead[1:] = line[1:] != line[:-1]
+    comment = lead & (data[starts] == 35)  # '#'
+    keep = ~comment[lead][np.cumsum(lead) - 1]
+    return newlines, control, lone_cr, starts[keep], ends[keep], line[keep]
+
+
+def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: int):
+    """The tokens [starts, ends) of ``data`` read as decimal numbers: their
+    values from their last ``wide`` digits, as uint64, then per token
+    whether some byte is not a digit and whether some digit before the
+    last ``wide`` is not 0.  Per byte it holds only bytes and flags."""
+    window = np.lib.stride_tricks.sliding_window_view(np.append(np.zeros(wide, np.uint8), data), wide)
+    digits = window[ends] - np.uint8(48)
+    inside = np.arange(wide) >= wide - (ends - starts)[:, None]
+    value = (np.where(inside, digits, 0) * 10 ** np.arange(wide - 1, -1, -1, dtype=np.uint64)).sum(axis=1)
+    nondigit, big = ((digits > 9) & inside).any(axis=1), np.zeros(starts.size, bool)
+    if (ends - starts).max(initial=0) > wide:
+        span = np.zeros(data.size + 1, np.int8)  # 1 on the bytes before a token's last `wide`
+        span[starts] += 1
+        span[np.maximum(starts, ends - wide)] -= 1
+        head = np.cumsum(span[:-1], dtype=np.int8).view(bool)
+        nondigit |= np.logical_or.reduceat(head & (data - np.uint8(48) > 9), starts)
+        big = np.logical_or.reduceat(head & (data != 48), starts)
+    return value, nondigit, big
+
+
+_PARSE_BLOCK = 1 << 15  # bytes of a collection file read at once, up to a line end
+
+
 def parse_collection(text: str) -> Collection:
     """Read the collection file format.
 
     First non-comment line: the ground-set size n.  Each further
-    non-comment line: one set as space-separated 0-based elements.
-    Lines starting with '#' are comments; blank lines are ignored
-    (an empty set has no line at all).
-    """
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("missing header line with the ground-set size") from None
-    tokens = header.split()
-    if len(tokens) != 1:
-        raise FormatError(f"line {lineno}: header must be a single integer, got {header!r}")
-    n = _parse_int(tokens[0], lineno)
-    if n < 0:
-        raise FormatError(f"line {lineno}: ground-set size must be non-negative")
+    non-comment line: one set as blank-separated 0-based elements.
+    The file is ASCII.  Lines whose first token starts with '#' are
+    comments; blank lines are ignored (an empty set has no line at all).
+    Spaces and tabs are blanks; lines end with '\n' or '\r\n'.  Numbers
+    are decimal digits, leading zeros allowed, elements below 2^63.
 
-    sets = []
-    for lineno, line in lines:
-        bits = 0
-        for token in line.split():
-            x = _parse_int(token, lineno)
-            if not 0 <= x < n:
-                raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
-            if (bits >> x) & 1:
-                raise FormatError(f"line {lineno}: duplicate element {x}")
-            bits |= 1 << x
-        sets.append(Subset(n, bits))
+    It is read as byte arrays of whole lines, about ``_PARSE_BLOCK`` bytes
+    at a time; the first fault in file order is reported, with its line.
+    """
+    if not text.isascii():
+        raise FormatError("collection files are ASCII")
+    n, sets, lineno, at = None, [], 0, 0
+    while at < len(text):
+        end = text.find("\n", at + _PARSE_BLOCK) + 1 or len(text)
+        raw = text[at:end].encode("ascii")
+        n = _parse_sets(np.frombuffer(raw, np.uint8), n, lineno, sets)
+        lineno, at = lineno + raw.count(b"\n"), end
+    if n is None:
+        raise FormatError("missing header line with the ground-set size")
     return Collection(n, tuple(sets))
+
+
+def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sets: list) -> int | None:
+    """Check whole lines of a collection file that follow ``lineno`` lines,
+    reading the header first if ``n`` is None; append their sets, each
+    from its packed bytes, to ``sets`` and return n."""
+    newlines, control, lone_cr, starts, ends, line = scan_tokens(data)
+    faults = [(at, what) for at, what in ((control, "control character"),
+              (lone_cr, "carriage return without line feed")) if at is not None]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 1 << 62  # int()'s cap
+
+    def refuse(at: int | None = None, what: str = "") -> None:
+        """Raise the first fault in the block, ``at`` included."""
+        if at is not None:
+            faults.append((at, what))
+        if faults:
+            at, what = min(faults)
+            raise FormatError(f"line {lineno + int(np.searchsorted(newlines, at)) + 1}: {what}")
+
+    if n is None and starts.size:
+        count = int(np.count_nonzero(line == line[0]))
+        header = data[starts[0] : ends[count - 1]].tobytes().decode()
+        if count > 1:
+            refuse(starts[0], f"header must be a single integer, got {header!r}")
+        if not header.isdigit() or len(header) > limit:
+            refuse(starts[0], f"non-integer token {header!r}")
+        n, starts, ends, line = int(header), starts[1:], ends[1:], line[1:]
+    if not starts.size:
+        refuse()
+        return n
+
+    # 19 digits hold every element below 2^63
+    value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
+    nondigit |= ends - starts > limit
+    outside = ~nondigit & (big | (value >= min(n, 1 << 63)))
+
+    # one set per line, packed into the bytes its largest element needs
+    step = np.diff(line, prepend=-1) != 0
+    x = np.where(nondigit | outside, 0, value).astype(np.int64)
+    widths = np.maximum.reduceat(x, np.flatnonzero(step)) // 8 + 1
+    byte = (np.cumsum(widths) - widths)[np.cumsum(step) - 1] + (x >> 3)
+    packed = np.zeros(int(widths.sum()), np.uint8)
+    np.bitwise_or.at(packed, byte, np.left_shift(1, x & 7).astype(np.uint8))
+    # a repeated element sets one bit for two tokens
+    if (nondigit | outside).any() or np.count_nonzero(np.unpackbits(packed)) != x.size:
+        seen: set = set()
+        for i, y in enumerate(x.tolist()):  # the first faulty token in file order
+            seen = seen if i and line[i] == line[i - 1] else set()
+            digits = data[starts[i] : ends[i]].tobytes().decode()
+            if nondigit[i]:
+                refuse(starts[i], f"non-integer token {digits!r}")
+            if outside[i]:
+                digits = digits.lstrip("0") or "0"
+                refuse(starts[i], f"element {digits} outside [0, {n})" if n <= 1 << 63
+                       else f"element {digits} at or above 2^63")
+            if y in seen:
+                refuse(starts[i], f"duplicate element {y}")
+            seen.add(y)
+    refuse()
+    raw, bounds = packed.tobytes(), np.cumsum(widths).tolist()
+    sets.extend(Subset(n, int.from_bytes(raw[a:b], "little")) for a, b in zip([0] + bounds, bounds))
+    return n
 
 
 def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:
     """Canonical text form; parse(serialize(c)) == c.
 
     Empty member sets cannot be represented (the format has no line for
-    them), so they are rejected.
+    them), nor can comments beyond tab and printable ASCII be read back,
+    so both are rejected.  The sets are written from the membership pairs
+    into one byte buffer, one digit place at a time.
     """
     lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
     out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
+    for ln in out:
+        if re.search(r"[^\t -\x7f]", ln):
+            raise ValueError(f"comment {ln!r} holds a character that collection files refuse")
     out.append(str(c.n))
-    for i, s in enumerate(c.sets):
-        if not s.bits:
-            raise ValueError(f"set {i} is empty and has no file representation")
-        out.append(" ".join(map(str, s.elements())))
-    return "\n".join(out) + "\n"
+    inc = c.incidence
+    sizes = np.bincount(inc.sets, minlength=len(c.sets))
+    if (sizes == 0).any():
+        raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
+    e = inc.elements
+    places = len(str(int(e.max()))) if e.size else 1
+    digits = np.ones(e.size, np.int64)
+    for k in range(1, places):
+        digits += e >= 10**k
+    end = np.cumsum(digits + 1)  # one past each element's separator
+    buf = np.full(int(end[-1]) if e.size else 0, 32, np.uint8)  # ' '
+    buf[end[np.cumsum(sizes) - 1] - 1] = 10  # '\n' after a set's last element
+    for k in range(places):
+        wide = digits > k
+        buf[(end - 2 - k)[wide]] = 48 + (e[wide] // 10**k) % 10
+    return "\n".join(out) + "\n" + buf.tobytes().decode("ascii")
 
 
 def parse_permutation(text: str) -> Permutation:

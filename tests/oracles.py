@@ -1,6 +1,6 @@
 """Deliberately naive reference implementations used to cross-check the
 library.  Everything here enumerates and shares no shortcuts with the
-implementations under test, except five former library functions kept
+implementations under test, except former library functions kept
 verbatim as references: naive_find_simple_permutation, the derandomized
 search in its original one-candidate-at-a-time form, which uses only the
 library's counting functions lambda_simple and sigma (both checked
@@ -12,7 +12,12 @@ matching with its per-neighbour queue BFS and recursive DFS, and the
 alternating walk returning (left, right) masks; and the cube edge file's
 line-by-line parser naive_parse_cube_edge_list, its tuple-sorting writer
 naive_serialize_cube_edges and naive_residual_graph, the comprehension-
-built index maps of the cube doubling's vertex cover."""
+built index maps of the cube doubling's vertex cover; and the collection
+file's token-by-token parser naive_parse_collection, its line-joining
+writer naive_serialize_collection, the per-bit naive_conflict_graph and
+naive_elements, Subset.elements() through iter_bits; and
+brute_force_invertible, the pruned lexicographic search that was the
+library's own testing oracle."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,6 +27,7 @@ import numpy as np
 
 from setpack import (
     Collection,
+    ConflictGraph,
     PackingFamily,
     Permutation,
     SizeProfile,
@@ -32,7 +38,15 @@ from setpack import (
     sigma,
 )
 from setpack.pack import LevelTrace, PackingReport
-from setpack.setcore import FormatError, iter_bits
+from setpack.setcore import FormatError
+
+
+def iter_bits(bits: int):
+    """Yield the indices of the set bits of ``bits`` in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def naive_invertible(c: Collection):
@@ -411,3 +425,118 @@ def naive_residual_graph(residual) -> tuple[list[int], list[int], list[int]]:
     for u, w in pairs:
         adj[even_index[u]] |= 1 << odd_index[w]
     return evens, odds, adj
+
+
+def _data_lines(text: str):
+    """Yield (line number, stripped content) skipping comments and blanks."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
+
+
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token, 10)
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer token {token!r}") from None
+
+
+def naive_parse_collection(text: str) -> Collection:
+    """Read the collection file format.
+
+    First non-comment line: the ground-set size n.  Each further
+    non-comment line: one set as space-separated 0-based elements.
+    Lines starting with '#' are comments; blank lines are ignored
+    (an empty set has no line at all).
+    """
+    lines = _data_lines(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise FormatError("missing header line with the ground-set size") from None
+    tokens = header.split()
+    if len(tokens) != 1:
+        raise FormatError(f"line {lineno}: header must be a single integer, got {header!r}")
+    n = _parse_int(tokens[0], lineno)
+    if n < 0:
+        raise FormatError(f"line {lineno}: ground-set size must be non-negative")
+
+    sets = []
+    for lineno, line in lines:
+        bits = 0
+        for token in line.split():
+            x = _parse_int(token, lineno)
+            if not 0 <= x < n:
+                raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
+            if (bits >> x) & 1:
+                raise FormatError(f"line {lineno}: duplicate element {x}")
+            bits |= 1 << x
+        sets.append(Subset(n, bits))
+    return Collection(n, tuple(sets))
+
+
+def naive_serialize_collection(c: Collection, header_comments=()) -> str:
+    """Canonical text form; parse(serialize(c)) == c.
+
+    Empty member sets cannot be represented (the format has no line for
+    them), so they are rejected.
+    """
+    lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
+    out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
+    out.append(str(c.n))
+    for i, s in enumerate(c.sets):
+        if not s.bits:
+            raise ValueError(f"set {i} is empty and has no file representation")
+        out.append(" ".join(map(str, naive_elements(s.bits))))
+    return "\n".join(out) + "\n"
+
+
+def naive_conflict_graph(c: Collection) -> ConflictGraph:
+    """adjacency[i] = V minus the union of all member sets containing i."""
+    full = (1 << c.n) - 1
+    blocked = [0] * c.n
+    for s in c.sets:
+        for i in iter_bits(s.bits):
+            blocked[i] |= s.bits
+    rows = tuple(Subset(c.n, full & ~blocked[i]) for i in range(c.n))
+    return ConflictGraph(c.n, rows)
+
+
+def naive_elements(bits: int) -> list[int]:
+    """The set bits of ``bits`` in increasing order, one lowest bit at a
+    time: Subset.elements() as it was, quadratic in the width."""
+    return list(iter_bits(bits))
+
+
+def brute_force_invertible(c: Collection, limit: int = 8) -> Permutation | None:
+    """Lexicographically first permutation inverting every set, or None.
+
+    Enumerates image arrays in lexicographic order, abandoning a prefix as
+    soon as some assigned point x has pi(x) in a common set with x (no
+    completion can repair that).  Testing oracle; n is capped.
+    """
+    n = c.n
+    if n > limit:
+        raise ValueError(f"n={n} exceeds brute-force limit {limit}")
+    set_bits = [s.bits for s in c.sets]
+    image = [-1] * n
+
+    def extend(x: int, used: int) -> bool:
+        if x == n:
+            return True
+        for y in range(n):
+            if (used >> y) & 1:
+                continue
+            if any((b >> x) & 1 and (b >> y) & 1 for b in set_bits):
+                continue
+            image[x] = y
+            if extend(x + 1, used | (1 << y)):
+                return True
+        image[x] = -1
+        return False
+
+    if extend(0, 0):
+        return Permutation(n, tuple(image))
+    return None

@@ -13,7 +13,6 @@ from setpack import (
     Collection,
     SizeProfile,
     Subset,
-    brute_force_invertible,
     check_triple,
     decide_invertible,
     exhaustive_kappa,
@@ -39,7 +38,7 @@ from setpack.pack import (
     shared_constituent_violations,
 )
 
-from oracles import naive_simple_permutations, random_collection
+from oracles import brute_force_invertible, naive_simple_permutations, random_collection
 
 
 def report(criterion: int, ok: bool, detail: str):

@@ -6,7 +6,6 @@ import pytest
 from setpack import (
     Collection,
     Subset,
-    brute_force_invertible,
     check_disjoint_criterion,
     check_halfsize_conditions,
     check_triple,
@@ -18,6 +17,7 @@ from setpack import (
 from setpack.invert import MatchingResult, alternating_reach, max_bipartite_matching
 
 from oracles import (
+    brute_force_invertible,
     naive_alternating_reach,
     naive_invertible,
     naive_max_bipartite_matching,

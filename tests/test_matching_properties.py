@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from setpack import (
     Collection,
     Subset,
-    brute_force_invertible,
     conflict_graph,
     decide_invertible,
     inverts,
 )
+
+from oracles import brute_force_invertible
 
 
 @st.composite

@@ -84,12 +84,12 @@ def test_complement():
 
 
 def test_apply():
-    swap = Permutation.transposition(2, 0, 1)
+    swap = Permutation(2, (1, 0))
     assert apply(swap, Subset.of(2, [0])) == Subset.of(2, [1])
     ident = Permutation.identity(5)
     s = Subset.of(5, [1, 3])
     assert apply(ident, s) == s
-    p = Permutation.from_pairs(4, [(0, 2), (1, 3)])
+    p = Permutation(4, (2, 3, 0, 1))
     assert apply(p, Subset.of(4, [0, 1])) == Subset.of(4, [2, 3])
 
 
@@ -110,10 +110,10 @@ def test_apply_size_mismatch():
 
 
 def test_inverts():
-    swap = Permutation.transposition(2, 0, 1)
+    swap = Permutation(2, (1, 0))
     assert inverts(swap, Subset.of(2, [0]))
     assert not inverts(Permutation.identity(3), Subset.of(3, [0]))
-    p = Permutation.from_pairs(4, [(0, 2), (1, 3)])
+    p = Permutation(4, (2, 3, 0, 1))
     assert inverts(p, Subset.of(4, [0, 1]))
     assert not inverts(p, Subset.of(4, [0, 2]))
 
