@@ -19,6 +19,7 @@ most once per phase.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -247,22 +248,6 @@ def check_triple(c: Collection) -> bool:
     return a <= b and 2 * b <= 2 * a + 3 * (c.n - 2 * k)
 
 
-def membership_signatures(c: Collection) -> dict[int, int]:
-    """Map each m-bit membership signature to the number of elements carrying it.
-
-    Bit i of the signature is set when the element lies in c.sets[i]; at
-    most n signatures are populated regardless of 2^m.
-    """
-    counts: dict[int, int] = {}
-    for x in range(c.n):
-        sig = 0
-        for i, s in enumerate(c.sets):
-            if (s.bits >> x) & 1:
-                sig |= 1 << i
-        counts[sig] = counts.get(sig, 0) + 1
-    return counts
-
-
 def check_halfsize_conditions(c: Collection) -> bool:
     """For n = 2k and all sets of size exactly k: invertible iff the sizes of
     complementary membership atoms agree (signature s and ~s equal counts)."""
@@ -271,6 +256,9 @@ def check_halfsize_conditions(c: Collection) -> bool:
     k = c.n // 2
     if any(s.cardinality() != k for s in c.sets):
         raise ValueError("every set must have cardinality n/2")
-    counts = membership_signatures(c)
+    signature = [0] * c.n  # bit i set when the element lies in c.sets[i]
+    for i, x in zip(c.incidence.sets.tolist(), c.incidence.elements.tolist()):
+        signature[x] |= 1 << i
+    counts = Counter(signature)
     full = (1 << len(c.sets)) - 1
-    return all(counts.get(full ^ sig, 0) == cnt for sig, cnt in counts.items())
+    return all(counts[full ^ sig] == cnt for sig, cnt in counts.items())

@@ -75,13 +75,8 @@ class SizeProfile:
     @classmethod
     def from_collection(cls, c: Collection) -> "SizeProfile":
         """Profile of c; empty and over-half-size sets are dropped."""
-        h = c.n // 2
-        counts = [0] * h
-        for s in c.sets:
-            k = s.cardinality()
-            if 1 <= k <= h:
-                counts[k - 1] += 1
-        return cls(c.n, tuple(counts))
+        sizes = np.bincount(c.incidence.sets, minlength=len(c.sets))
+        return cls(c.n, tuple(np.bincount(sizes, minlength=c.n // 2 + 1)[1 : c.n // 2 + 1].tolist()))
 
     @classmethod
     def full(cls, n: int) -> "SizeProfile":

@@ -29,7 +29,7 @@ import random
 import numpy as np
 
 from .invert import check_triple, decide_invertible
-from .setcore import Collection, Subset
+from .setcore import Collection, Subset, parse_collection, serialize_collection
 
 DEFAULT_GREEDY_BUDGET = 200_000
 DEFAULT_CHECK_LIMIT = 2_000
@@ -137,12 +137,11 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     if count < 2:
         return PackingReport(distinct, 0, 0, threshold, size, distinct)
 
-    width = (f.n + 7) // 8
-    packed = b"".join(b.bits.to_bytes(width, "little") for b in f.blocks)
-    rows = np.frombuffer(packed, np.uint8).reshape(count, width)
-    bits = np.unpackbits(rows, axis=1, count=f.n, bitorder="little").view(bool)
-    points = (np.flatnonzero(bits) % f.n).reshape(count, size)  # row i: block i's points
-    del bits  # freed before the transpose is built: 20 MB less peak RSS on pack-grid
+    inc = Collection(f.n, f.blocks).incidence
+    points = inc.elements.reshape(count, size)  # row i: block i's points
+    rows = inc.rows
+    width = rows.shape[1]
+    del inc  # frees the pairs' set indices
     # by_point[x, j] = 1 iff block j holds point x: the packed bytes are
     # transposed, then each byte's 8 bits go to 8 consecutive rows (5x
     # faster than transposing the unpacked rows)
@@ -309,9 +308,7 @@ def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GR
     num, den = alpha.numerator, alpha.denominator
     kept: list[int] = []
     for combo in combinations(range(n), cn_size):
-        bits = 0
-        for x in combo:
-            bits |= 1 << x
+        bits = sum(1 << x for x in combo)
         if all(den * (bits & kb).bit_count() < num * cn_size for kb in kept):
             kept.append(bits)
     family = PackingFamily(
@@ -385,8 +382,6 @@ def no_three_invertible_family(
 
 
 def serialize_family(f: PackingFamily) -> str:
-    from .setcore import serialize_collection
-
     header = (
         f"packing n={f.n} alpha={f.declared_alpha.numerator}/{f.declared_alpha.denominator} "
         f"c={f.achieved_c.numerator}/{f.achieved_c.denominator}"
@@ -396,8 +391,6 @@ def serialize_family(f: PackingFamily) -> str:
 
 def parse_family(text: str, alpha=None) -> PackingFamily:
     """Read a family file; alpha comes from the argument or the header comment."""
-    from .setcore import parse_collection
-
     declared = Fraction(alpha) if alpha is not None else None
     if declared is None:
         for line in text.splitlines():

@@ -288,7 +288,7 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
     """Check whole lines of a cube edge file, reading the header first if
     ``n`` is None; returns n and the lines' (vertex, direction) rows.  Per
     byte it holds only bytes and flags, per line a few int64 offsets."""
-    newlines, control, lone_cr, starts, ends, line = scan_tokens(data)
+    newlines, faults, starts, ends, line = scan_tokens(data)
 
     def refuse(at: int, what: str) -> None:
         """Refuse the file at byte ``at``, quoting its line."""
@@ -302,9 +302,8 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
         if bad.any():
             refuse(int(at[np.argmax(bad)]), what)
 
-    for at, what in ((control, "control character"), (lone_cr, "carriage return without line feed")):
-        if at is not None:
-            refuse(at, what)
+    for at, what in faults:
+        refuse(at, what)
 
     if n is None:
         if not starts.size:

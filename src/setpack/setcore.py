@@ -10,7 +10,6 @@ record (``Incidence``) once, when a bulk consumer first asks for it.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -28,16 +27,6 @@ def bit_positions(bits: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
-def mask_of(elements: Iterable[int], n: int) -> int:
-    """Pack ``elements`` into a bit mask, validating the range [0, n)."""
-    bits = 0
-    for x in elements:
-        if not 0 <= x < n:
-            raise ValueError(f"element {x} outside ground set [0, {n})")
-        bits |= 1 << x
-    return bits
-
-
 @dataclass(frozen=True)
 class Subset:
     """A subset of the ground set [0, n), stored as a bit vector."""
@@ -53,7 +42,12 @@ class Subset:
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
-        return cls(n, mask_of(elements, n))
+        bits = 0
+        for x in elements:
+            if not 0 <= x < n:
+                raise ValueError(f"element {x} outside ground set [0, {n})")
+            bits |= 1 << x
+        return cls(n, bits)
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -61,17 +55,10 @@ class Subset:
     def elements(self) -> list[int]:
         return bit_positions(self.bits).tolist()
 
-    def contains(self, x: int) -> bool:
-        return bool((self.bits >> x) & 1)
-
-    def intersection_size(self, other: "Subset") -> int:
-        return (self.bits & other.bits).bit_count()
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
 
-    def __len__(self) -> int:
-        return self.bits.bit_count()
+    __len__ = cardinality
 
     def __repr__(self):
         return f"Subset({self.n}, {{{' '.join(map(str, self.elements()))}}})"
@@ -166,37 +153,27 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(n, tuple(range(n)))
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def __repr__(self):
         return f"Permutation({self.n}, {list(self.image)})"
 
 
 def complement(s: Subset) -> Subset:
     """V - s; an involution with |result| = n - |s|."""
-    full = (1 << s.n) - 1
-    return Subset(s.n, full & ~s.bits)
+    return Subset(s.n, ((1 << s.n) - 1) & ~s.bits)
 
 
 def apply(p: Permutation, s: Subset) -> Subset:
     """The image set {p(x) : x in s}; cardinality is preserved."""
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
-    bits = 0
-    for x in s.elements():
-        bits |= 1 << p.image[x]
-    return Subset(s.n, bits)
+    return Subset.of(s.n, (p.image[x] for x in s.elements()))
 
 
 def inverts(p: Permutation, s: Subset) -> bool:
     """True iff p(s) and s are disjoint."""
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
-    for x in s.elements():
-        if (s.bits >> p.image[x]) & 1:
-            return False
-    return True
+    return not any((s.bits >> p.image[x]) & 1 for x in s.elements())
 
 
 def inverted(c: Collection, p: Permutation) -> np.ndarray:
@@ -212,37 +189,20 @@ def inverted(c: Collection, p: Permutation) -> np.ndarray:
     return ok
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped content) skipping comments and blanks."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer token {token!r}") from None
-
-
 def scan_tokens(data: np.ndarray):
     """Tokens of the whole lines of ASCII text held in ``data``: maximal
     runs of bytes above the blanks (space, tab, CR, LF), less the lines
     whose first token starts with '#'.  Returns the offsets of the '\n'
-    bytes; those of the first control character but tab, CR and LF and of
-    the first CR without LF, or None, for the caller to refuse; and the
-    tokens' starts, ends and lines (the count of '\n' before each).  Per
-    byte it holds only bytes and flags, per token a few int64 offsets."""
+    bytes; the faults for the caller to refuse, as (offset, what) pairs:
+    the first control character but tab, CR and LF, then the first CR
+    without LF; and the tokens' starts, ends and lines (the count of '\n'
+    before each).  Per byte it holds only bytes and flags, per token a few
+    int64 offsets."""
     newlines = np.flatnonzero(data == 10)
-
-    def first(flags: np.ndarray) -> int | None:
-        return int(np.argmax(flags)) if flags.any() else None
-
-    control = first((data < 32) & (data != 9) & (data != 10) & (data != 13))
-    lone_cr = first((data == 13) & (np.append(data[1:], 0) != 10))
+    faults = [(int(np.argmax(flags)), what) for flags, what in (
+        ((data < 32) & (data != 9) & (data != 10) & (data != 13), "control character"),
+        ((data == 13) & (np.append(data[1:], 0) != 10), "carriage return without line feed"),
+    ) if flags.any()]
 
     inside = np.zeros(data.size + 2, bool)
     np.greater(data, 32, out=inside[1:-1])
@@ -253,7 +213,7 @@ def scan_tokens(data: np.ndarray):
     lead[1:] = line[1:] != line[:-1]
     comment = lead & (data[starts] == 35)  # '#'
     keep = ~comment[lead][np.cumsum(lead) - 1]
-    return newlines, control, lone_cr, starts[keep], ends[keep], line[keep]
+    return newlines, faults, starts[keep], ends[keep], line[keep]
 
 
 def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: int):
@@ -309,10 +269,7 @@ def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sets: list) -> int
     """Check whole lines of a collection file that follow ``lineno`` lines,
     reading the header first if ``n`` is None; append their sets, each
     from its packed bytes, to ``sets`` and return n."""
-    newlines, control, lone_cr, starts, ends, line = scan_tokens(data)
-    faults = [(at, what) for at, what in ((control, "control character"),
-              (lone_cr, "carriage return without line feed")) if at is not None]
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 1 << 62  # int()'s cap
+    newlines, faults, starts, ends, line = scan_tokens(data)
 
     def refuse(at: int | None = None, what: str = "") -> None:
         """Raise the first fault in the block, ``at`` included."""
@@ -327,40 +284,41 @@ def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sets: list) -> int
         header = data[starts[0] : ends[count - 1]].tobytes().decode()
         if count > 1:
             refuse(starts[0], f"header must be a single integer, got {header!r}")
-        if not header.isdigit() or len(header) > limit:
+        try:
+            if not header.isdigit():
+                raise ValueError
+            n = int(header.lstrip("0") or "0")  # int() may refuse over 4,300 digits
+        except ValueError:
             refuse(starts[0], f"non-integer token {header!r}")
-        n, starts, ends, line = int(header), starts[1:], ends[1:], line[1:]
+        starts, ends, line = starts[1:], ends[1:], line[1:]
     if not starts.size:
         refuse()
         return n
 
     # 19 digits hold every element below 2^63
     value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
-    nondigit |= ends - starts > limit
     outside = ~nondigit & (big | (value >= min(n, 1 << 63)))
+    bad = nondigit | outside
 
     # one set per line, packed into the bytes its largest element needs
     step = np.diff(line, prepend=-1) != 0
-    x = np.where(nondigit | outside, 0, value).astype(np.int64)
+    x = np.where(bad, 0, value).astype(np.int64)
     widths = np.maximum.reduceat(x, np.flatnonzero(step)) // 8 + 1
     byte = (np.cumsum(widths) - widths)[np.cumsum(step) - 1] + (x >> 3)
     packed = np.zeros(int(widths.sum()), np.uint8)
     np.bitwise_or.at(packed, byte, np.left_shift(1, x & 7).astype(np.uint8))
-    # a repeated element sets one bit for two tokens
-    if (nondigit | outside).any() or np.count_nonzero(np.unpackbits(packed)) != x.size:
-        seen: set = set()
-        for i, y in enumerate(x.tolist()):  # the first faulty token in file order
-            seen = seen if i and line[i] == line[i - 1] else set()
-            digits = data[starts[i] : ends[i]].tobytes().decode()
-            if nondigit[i]:
-                refuse(starts[i], f"non-integer token {digits!r}")
-            if outside[i]:
-                digits = digits.lstrip("0") or "0"
-                refuse(starts[i], f"element {digits} outside [0, {n})" if n <= 1 << 63
-                       else f"element {digits} at or above 2^63")
-            if y in seen:
-                refuse(starts[i], f"duplicate element {y}")
-            seen.add(y)
+    if np.count_nonzero(np.unpackbits(packed)) != x.size:  # two tokens set one bit
+        order = np.lexsort((np.arange(x.size), x, line))  # a line's equal tokens in file order
+        again = (x[order[1:]] == x[order[:-1]]) & (line[order[1:]] == line[order[:-1]])
+        bad[order[1:][again]] = True
+    if bad.any():  # the first faulty token in file order
+        i = int(np.argmax(bad))
+        token = data[starts[i] : ends[i]].tobytes().decode()
+        digits = token.lstrip("0") or "0"
+        refuse(starts[i], f"non-integer token {token!r}" if nondigit[i]
+               else f"duplicate element {x[i]}" if not outside[i]
+               else f"element {digits} outside [0, {n})" if n <= 1 << 63
+               else f"element {digits} at or above 2^63")
     refuse()
     raw, bounds = packed.tobytes(), np.cumsum(widths).tolist()
     sets.extend(Subset(n, int.from_bytes(raw[a:b], "little")) for a, b in zip([0] + bounds, bounds))
@@ -400,20 +358,30 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Read the permutation file format: one line, image[j] at position j.
-
-    The 0-point permutation is one blank line, which is what
-    serialize_permutation writes for it.
+    """Read the permutation file format: one data line, image[j] at
+    position j, in the blanks, comments, line ends and numbers of the
+    collection files.  The 0-point permutation is one blank line, which
+    is what serialize_permutation writes for it.
     """
-    lines = list(_data_lines(text))
-    if not lines and any(not raw.strip() for raw in text.splitlines()):
+    if not text.isascii():
+        raise FormatError("permutation files are ASCII")
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    newlines, faults, starts, ends, line = scan_tokens(data)
+    if faults:
+        at, what = faults[0]
+        raise FormatError(f"line {int(np.searchsorted(newlines, at)) + 1}: {what}")
+    if not starts.size and any(not raw.strip() for raw in text.splitlines()):
         return Permutation(0, ())
-    if len(lines) != 1:
+    if not starts.size or line[-1] != line[0]:
         raise FormatError("permutation file must hold exactly one data line")
-    lineno, line = lines[0]
-    image = tuple(_parse_int(tok, lineno) for tok in line.split())
+    lineno = int(line[0]) + 1
+    image, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
+    if nondigit.any():
+        i = int(np.argmax(nondigit))
+        raise FormatError(f"line {lineno}: non-integer token {data[starts[i] : ends[i]].tobytes().decode()!r}")
+    image[big] = image.size  # past n, so refused as no bijection
     try:
-        return Permutation(len(image), image)
+        return Permutation(image.size, tuple(image.tolist()))
     except ValueError as e:
         raise FormatError(f"line {lineno}: {e}") from None
 

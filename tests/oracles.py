@@ -14,7 +14,8 @@ line-by-line parser naive_parse_cube_edge_list, its tuple-sorting writer
 naive_serialize_cube_edges and naive_residual_graph, the comprehension-
 built index maps of the cube doubling's vertex cover; and the collection
 file's token-by-token parser naive_parse_collection, its line-joining
-writer naive_serialize_collection, the per-bit naive_conflict_graph and
+writer naive_serialize_collection, the permutation file's token-by-token
+parser naive_parse_permutation, the per-bit naive_conflict_graph and
 naive_elements, Subset.elements() through iter_bits; and
 brute_force_invertible, the pruned lexicographic search that was the
 library's own testing oracle."""
@@ -475,6 +476,25 @@ def naive_parse_collection(text: str) -> Collection:
             bits |= 1 << x
         sets.append(Subset(n, bits))
     return Collection(n, tuple(sets))
+
+
+def naive_parse_permutation(text: str) -> Permutation:
+    """Read the permutation file format: one line, image[j] at position j.
+
+    The 0-point permutation is one blank line, which is what
+    serialize_permutation writes for it.
+    """
+    lines = list(_data_lines(text))
+    if not lines and any(not raw.strip() for raw in text.splitlines()):
+        return Permutation(0, ())
+    if len(lines) != 1:
+        raise FormatError("permutation file must hold exactly one data line")
+    lineno, line = lines[0]
+    image = tuple(_parse_int(tok, lineno) for tok in line.split())
+    try:
+        return Permutation(len(image), image)
+    except ValueError as e:
+        raise FormatError(f"line {lineno}: {e}") from None
 
 
 def naive_serialize_collection(c: Collection, header_comments=()) -> str:

@@ -14,7 +14,9 @@ from setpack.setcore import (
     inverted,
     inverts,
     parse_collection,
+    parse_permutation,
     serialize_collection,
+    serialize_permutation,
 )
 
 from oracles import (
@@ -22,6 +24,7 @@ from oracles import (
     naive_conflict_graph,
     naive_elements,
     naive_parse_collection,
+    naive_parse_permutation,
     naive_serialize_collection,
 )
 
@@ -267,6 +270,41 @@ def test_only_exemptions_outside_the_ascii_grammar(text):
     assert isinstance(naive_parse_collection(text), Collection)
     with pytest.raises(FormatError):
         parse_collection(text)
+
+
+def test_permutation_files_parse_as_the_oracle_parses_them():
+    # the permutation file is read with the collection file's token scan
+    # and decimal reader: the same accepted text, faults and messages as
+    # the token-by-token original on files inside the ASCII grammar
+    rng = random.Random(5)
+    edits = [
+        lambda line: "# note\n" + line,
+        lambda line: line + "\n\n  \n#0 1",
+        lambda line: "\t" + line.replace(" ", rng.choice(["\t", "   ", " \t "])) + " ",
+        lambda line: line.replace(" ", " 000", 1),
+        lambda line: line + " " + line.split()[0],  # a repeated value
+        lambda line: line + " " + str(len(line.split())),  # the value n
+        lambda line: line + " " + "9" * 25,
+        lambda line: line.replace(" ", " x", 1),
+        lambda line: line + "\n" + line,  # two data lines
+        lambda line: "",
+        lambda line: "# only a comment",
+    ]
+    for trial in range(400):
+        image = list(range(rng.randrange(1, 12)))
+        rng.shuffle(image)
+        line = serialize_permutation(Permutation(len(image), tuple(image))).strip() or "0"
+        for edit in rng.sample(edits, rng.choice([0, 1, 2])):
+            line = edit(line)
+        text = line.replace("\n", rng.choice(["\n", "\r\n"])) + rng.choice(["\n", "\r\n", ""])
+        assert parsed(parse_permutation, text) == parsed(naive_parse_permutation, text), text
+    for text in ("\n", "# c\n\r\n"):
+        assert parse_permutation(text) == naive_parse_permutation(text) == Permutation(0, ())
+    # the narrowings of the collection file hold here too
+    for text in ("1 \u0660\n", "1\u00a00\n", "+1 0\n", "1 -0\n", "1 0_0\n", "1\x1f0\n", "1 0\r"):
+        assert isinstance(naive_parse_permutation(text), Permutation)
+        with pytest.raises(FormatError):
+            parse_permutation(text)
 
 
 def test_elements_past_2_63_are_refused():

@@ -39,11 +39,12 @@ def cube_edge_sets(draw):
 @given(collections(), st.lists(st.text(), max_size=3))
 def test_collection_roundtrip(c, comments):
     # comments may hold line breaks: each line is written as its own comment;
-    # one that the ASCII file grammar cannot hold is refused by the writer
+    # one that the ASCII file grammar cannot hold is refused by the writer,
+    # and the collection is then round-tripped without comments
     if any(re.search(r"[^\t -\x7f]", ln) for h in comments for ln in h.splitlines()):
         with pytest.raises(ValueError, match="collection files refuse"):
             serialize_collection(c, comments)
-        return
+        comments = []
     assert parse_collection(serialize_collection(c, comments)) == c
 
 

@@ -43,7 +43,7 @@ def test_conflict_graph_symmetric():
         g = conflict_graph(c)
         for i in range(c.n):
             for j in range(c.n):
-                assert g.adjacency[i].contains(j) == g.adjacency[j].contains(i)
+                assert (g.adjacency[i].bits >> j) & 1 == (g.adjacency[j].bits >> i) & 1
 
 
 def test_matching_two_points():

@@ -148,7 +148,7 @@ def test_verify_packing_matches_dense_oracle(monkeypatch, wide_families, row_cel
         seen_dup |= not rep.distinct
         seen_zero |= rep.pairs_checked > 0 and rep.max_intersection == 0
         if rep.pairs_checked > 1:
-            inter = [b1.intersection_size(b2) for b1, b2 in combinations(fam.blocks, 2)]
+            inter = [(b1.bits & b2.bits).bit_count() for b1, b2 in combinations(fam.blocks, 2)]
             seen_tie |= inter.count(rep.max_intersection) > 1
     assert seen_dup and seen_zero and seen_tie
     # the 0-point ground set: every block is empty, so any two coincide
