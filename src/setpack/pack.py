@@ -308,7 +308,9 @@ def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GR
     num, den = alpha.numerator, alpha.denominator
     kept: list[int] = []
     for combo in combinations(range(n), cn_size):
-        bits = sum(1 << x for x in combo)
+        bits = 0
+        for x in combo:
+            bits |= 1 << x
         if all(den * (bits & kb).bit_count() < num * cn_size for kb in kept):
             kept.append(bits)
     family = PackingFamily(

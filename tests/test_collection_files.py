@@ -315,6 +315,10 @@ def test_elements_past_2_63_are_refused():
     with pytest.raises(FormatError, match=f"line 2: element {big} outside"):
         parse_collection(f"5\n0 {big}\n")
     assert parse_collection(f"{big}\n{'0' * 40}7\n").sets[0].elements() == [7]
+    # leading zeros are accepted at any length, past int()'s default digit cap
+    assert parse_collection("0" * 5000 + "3\n" + "0" * 5000 + "2\n").sets[0].elements() == [2]
+    wide = "1" * 5000 + "\n0\n"  # a header int() cannot read is refused as the oracle refuses it
+    assert parsed(parse_collection, wide) == parsed(naive_parse_collection, wide)
 
 
 def test_sets_span_parse_blocks(monkeypatch):
