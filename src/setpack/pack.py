@@ -123,9 +123,10 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     blocks holding point x, block i meets the later blocks in the sum of
     by_point[x] over the points x of i.  The upper triangle is taken in
     row blocks of about ROW_BLOCK_CELLS cells, so the cost is about
-    count**2 * size / 2 byte additions.  Memory peaks at two n x count
-    byte arrays while the 0/1 rows are transposed; the loop then holds
-    the transpose, each block's point indices and one row block.  The
+    count**2 * size / 2 byte additions.  The points and packed rows come
+    from the family's incidence record.  Memory peaks at the n x count
+    byte transpose of the 0/1 rows, built one bit plane at a time, with
+    each block's point indices and one row block.  The
     counts are integers in the smallest unsigned type that holds
     block_size, so they are exact for every n.
     worst_pair is the lexicographically first pair reaching the maximum.
@@ -143,10 +144,13 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     width = rows.shape[1]
     del inc  # frees the pairs' set indices
     # by_point[x, j] = 1 iff block j holds point x: the packed bytes are
-    # transposed, then each byte's 8 bits go to 8 consecutive rows (5x
-    # faster than transposing the unpacked rows)
-    by_point = np.unpackbits(np.ascontiguousarray(rows.T), axis=1, bitorder="little")
-    by_point = by_point.reshape(width, count, 8).transpose(0, 2, 1).reshape(8 * width, count)[: f.n]
+    # transposed, then bit k of byte b goes to row 8b + k, one bit plane
+    # at a time, so no second n x count array is made
+    columns = np.ascontiguousarray(rows.T)
+    by_point = np.empty((8 * width, count), np.uint8)
+    for k in range(8):
+        np.bitwise_and(columns >> k, 1, out=by_point[k::8])
+    by_point = by_point[: f.n]
     acc_type = np.min_scalar_type(size)  # no count exceeds size
     max_int, worst = -1, None
     start = 0
