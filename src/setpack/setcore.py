@@ -376,7 +376,7 @@ def parse_permutation(text: str) -> Permutation:
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     newlines, faults, starts, ends, line = scan_tokens(data)
     if faults:
-        at, what = faults[0]
+        at, what = min(faults)
         raise FormatError(f"line {int(np.searchsorted(newlines, at)) + 1}: {what}")
     if not starts.size and any(not raw.strip() for raw in text.splitlines()):
         return Permutation(0, ())
