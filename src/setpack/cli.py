@@ -14,6 +14,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import ceil
 
 from . import bounds, invert, kappa, pack, qcube, setcore
@@ -320,7 +321,10 @@ def _cmd_cube_verify(args, out: Outcome):
     out.code = 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process: parse_args leaves
+    the parser unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="setpack",
         description="set inversion, packing construction and bound calculators",

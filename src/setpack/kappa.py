@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, gcd
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -147,6 +147,53 @@ def exhaustive_kappa(
 _FIXED = -1  # virtual partner: anchor stays a fixed point
 
 
+def _lambda_row(f: int, umax: int) -> list[int]:
+    """[lambda_simple(f, u) for u in 0 .. umax], built by the recurrence
+    lambda(f, u+1) = lambda(f, u) * 2(h-u) / (f-u), h = floor(f/2): one
+    small multiplication and one exact division per entry, zero past h."""
+    h = f // 2
+    row = [lambda_simple(f, 0)]
+    for u in range(min(umax, h)):
+        row.append(row[-1] * (2 * (h - u)) // (f - u))
+    return row + [0] * (umax - h)
+
+
+def _limbs(weights: list[int], width: int) -> np.ndarray:
+    """int64 (len(weights), L) digits of the weights in base 2^width: every
+    digit but the last in [0, 2^width), the last signed in [-2^width, 2^width)."""
+    count = max(1, -(-max(map(abs, weights), default=0).bit_length() // width))
+    if count == 1:
+        return np.array(weights, dtype=np.int64).reshape(-1, 1)
+    digits = np.empty((len(weights), count), dtype=np.int64)
+    rest = np.array(weights, dtype=object)
+    for l in range(count - 1):
+        digits[:, l] = rest & ((1 << width) - 1)
+        rest = rest >> width
+    digits[:, count - 1] = rest
+    return digits
+
+
+def _first_max(scores: np.ndarray, width: int) -> tuple[int, int]:
+    """Index and value of the first maximum of the numbers
+    sum_l scores[:, l] << (width * l).  The carries are normalised in
+    place so that every limb but the top one lies in [0, 2^width); the
+    numbers then compare as their limb tuples, top limb first."""
+    if scores.shape[1] == 1:
+        i = int(scores[:, 0].argmax())
+        return i, int(scores[i, 0])
+    for l in range(scores.shape[1] - 1):
+        scores[:, l + 1] += scores[:, l] >> width
+        scores[:, l] &= (1 << width) - 1
+    idx = np.arange(len(scores))
+    for l in reversed(range(scores.shape[1])):
+        col = scores[idx, l]
+        idx = idx[col == col.max()]
+        if len(idx) == 1:
+            break
+    i = int(idx[0])
+    return i, sum(int(v) << (width * l) for l, v in enumerate(scores[i].tolist()))
+
+
 def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     """Simple permutation inverting at least ceil(kappa_lower_bound) sets.
 
@@ -168,70 +215,91 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     w = lambda_simple(f2, u-1) - lambda_simple(f2, u) when a is not in S,
     w = -lambda_simple(f2, u-1) when it is (the 2-cycle kills the set).
     One bincount over the (set, element) pairs of live sets and free
-    elements fills cnt for every candidate at once, and one exact
-    integer product with the weights scores them: a step costs
-    O(P + f * k) for P membership pairs and k <= 2 (s + 1) classes, s the
-    largest set size, instead of O(f * m) set visits.  The fixed-point
-    branch is sum_class N_class * lambda_simple(f - 1, u) over the classes
-    with a not in S.  Everything stays in exact integers.
+    elements fills cnt for every candidate at once; pairs of dead sets and
+    taken points are dropped after each step, so the bincount shrinks as
+    the search goes on.  A step costs O(P + f * k * L) for P live pairs,
+    k <= 2 (s + 1) classes (s the largest set size) and L limbs (below),
+    instead of O(f * m) set visits.  The fixed-point branch is
+    sum_class N_class * lambda_simple(f - 1, u) over the classes with a
+    not in S.
+
+    Exact scoring in int64 limbs.  The weights are divided by their gcd g
+    (1 when all are zero), which keeps the argmax and its ties, and the
+    reduced weights are split into signed int64 limbs of `width` bits.  A
+    class count is at most m, so with m * 2^width < 2^62 no limb product,
+    sum or carry wraps: one int64 matrix product scores every candidate,
+    the carries are normalised and a lexicographic argmax keeps the first
+    maximum.  The chosen numerator is rebuilt as an exact Python integer,
+    base + g * score.  Only the lambda rows f, f - 1 and f - 2 a step reads
+    are built (`_lambda_row`), up to the largest live u; the denominators
+    are sigma(f).
 
     The chosen branch's expectation never drops below the pre-branch
     expectation (the branches partition the uniform measure); this is
     checked at every step, which makes the returned count >= the ceiling
     of the profile bound unconditionally.  Either check failing raises
-    RuntimeError.
+    RuntimeError.  A collection too large for any limb width (m >= 2^60)
+    raises ValueError.
     """
     n = c.n
     m = len(c.sets)
+    # m * 2^width < 2^62 bounds every limb sum; width >= 2 keeps the carries below 2^63
+    width = 62 - m.bit_length()
+    if width < 2:
+        raise ValueError(f"{m} sets leave no int64 limb width for exact scoring")
     inc = c.incidence
     sizes = np.bincount(inc.sets, minlength=m)
     classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
-    lam = [[lambda_simple(f, u) for u in range(classes // 2)] for f in range(n + 1)]
     sig = [sigma(f) for f in range(n + 1)]
 
-    # (set, element) membership pairs, grouped by element
+    # (set, element) pairs of live sets and free elements, grouped by element
     order = np.argsort(inc.elements, kind="stable")
-    pair_set, pair_elem = inc.sets[order], inc.elements[order]
-    starts = np.searchsorted(pair_elem, np.arange(n + 1))
+    ps, pe = inc.sets[order], inc.elements[order]
+    del order
 
     live = sizes.copy()  # |S & free|, for every set
     alive = np.ones(m, dtype=bool)
     is_free = np.ones(n, dtype=bool)
     free = list(range(n))
     image = list(range(n))
+    col_of = np.zeros(classes, dtype=np.intp)
 
     while free:
         f = len(free)
         a = free[0]
-        a_sets = pair_set[starts[a] : starts[a + 1]]
+        a_sets = ps[: np.searchsorted(pe, a, side="right")]  # a is the lowest free point
         cls = 2 * live
         cls[a_sets] += 1
         present = np.bincount(cls[alive], minlength=classes)
-        groups = [(k >> 1, k & 1, int(present[k])) for k in np.flatnonzero(present).tolist()]
-        pre_num = sum(size * lam[f][u] for u, _, size in groups)
+        keys = np.flatnonzero(present)
+        groups = [(k >> 1, k & 1, int(present[k])) for k in keys.tolist()]
+        umax = groups[-1][0] if groups else 0
+        lam = _lambda_row(f, umax)
+        pre_num = sum(size * lam[u] for u, _, size in groups)
 
         best_b = None
         best_num = -1
         best_f2 = f - 2
         if f >= 2:
-            f2 = f - 2
-            base = sum(size * lam[f2][u - a_in] for u, a_in, size in groups)
+            lam = _lambda_row(f - 2, umax)
+            base = sum(size * lam[u - a_in] for u, a_in, size in groups)
             # b in S turns lam(f2, u - [a in S]) into lam(f2, u - 1), or kills S
-            cols = np.array([2 * u + a_in for u, a_in, _ in groups], dtype=np.intp)
             weights = [
-                (0 if a_in else lam[f2][u - 1]) - lam[f2][u - a_in] if u else 0
+                (0 if a_in else lam[u - 1]) - lam[u - a_in] if u else 0
                 for u, a_in, _ in groups
             ]
-            keep = alive[pair_set] & is_free[pair_elem]
-            cnt = np.bincount(
-                pair_elem[keep] * classes + cls[pair_set[keep]], minlength=n * classes
-            ).reshape(n, classes)
+            g = gcd(*weights) or 1
+            limbs = _limbs([w // g for w in weights], width)
+            col_of[keys] = np.arange(len(keys))
+            at = col_of[cls[ps]]  # in place: the pair arrays dominate memory
+            at += pe * len(keys)
+            cnt = np.bincount(at, minlength=n * len(keys)).reshape(n, len(keys))
             cand = free[1:]
-            nums = cnt[np.ix_(cand, cols)].astype(object) @ np.array(weights, dtype=object)
-            i = int(nums.argmax())  # the first maximum
-            best_b, best_num = cand[i], base + nums[i]
+            i, score = _first_max(cnt[cand] @ limbs, width)
+            best_b, best_num = cand[i], base + g * score
         if f % 2 == 1:
-            num = sum(size * lam[f - 1][u] for u, a_in, size in groups if not a_in)
+            lam = _lambda_row(f - 1, umax)
+            num = sum(size * lam[u] for u, a_in, size in groups if not a_in)
             # different denominator: compare num/sig[f-1] with best/sig[f-2]
             if best_b is None or num * sig[f - 2] > best_num * sig[f - 1]:
                 best_b, best_num, best_f2 = _FIXED, num, f - 1
@@ -247,11 +315,13 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
             free = free[1:]
         else:
             image[a], image[best_b] = best_b, a
-            b_sets = pair_set[starts[best_b] : starts[best_b + 1]]
+            b_sets = ps[slice(*np.searchsorted(pe, [best_b, best_b + 1]))]
             live[b_sets] -= 1
             is_free[best_b] = False
             alive[np.intersect1d(a_sets, b_sets, assume_unique=True)] = False
             free = [x for x in free[1:] if x != best_b]
+        keep = alive[ps] & is_free[pe]
+        ps, pe = ps[keep], pe[keep]
 
     perm = Permutation(n, tuple(image), is_simple=True)
     count = int(inverted(c, perm).sum())

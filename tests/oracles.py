@@ -4,7 +4,10 @@ implementations under test, except former library functions kept
 verbatim as references: naive_find_simple_permutation, the derandomized
 search in its original one-candidate-at-a-time form, which uses only the
 library's counting functions lambda_simple and sigma (both checked
-against enumeration in test_kappa); naive_verify_packing, the pairwise
+against enumeration in test_kappa), and its successor
+count_table_find_simple_permutation, which scores every candidate with
+one object-dtype big-integer product per step over a full factorial
+lambda table; naive_verify_packing, the pairwise
 check through one dense Gram matrix; naive_shared_constituent_violations,
 the dict-counting walk over the construction record;
 naive_max_bipartite_matching with naive_alternating_reach, the layered
@@ -33,6 +36,7 @@ from setpack import (
     Permutation,
     SizeProfile,
     Subset,
+    inverted,
     inverts,
     kappa_lower_bound,
     lambda_simple,
@@ -232,6 +236,123 @@ def naive_find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     count = sum(1 for s in c.sets if inverts(perm, s))
     bound = kappa_lower_bound(SizeProfile.from_collection(c))
     assert count >= ceil(bound), "derandomization guarantee violated"
+    return perm, count
+
+
+def count_table_find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
+    """setpack.find_simple_permutation's count-table search with exact
+    object-dtype scoring and a full factorial lambda table, kept verbatim
+    as its reference.  Simple permutation inverting at least
+    ceil(kappa_lower_bound) sets.
+
+    Derandomizes the averaging argument by conditional expectation.  At
+    each step the lowest-index free element a is paired with the partner b
+    (or, when the free count is odd, left as the single fixed point)
+    maximizing the expected number of sets inverted by a uniformly random
+    completion.  With u live elements of a set S among f free points, the
+    completion inverts S with probability lambda_simple(f, u) / sigma(f);
+    a set dies once a chosen 2-cycle lies inside it, or the fixed point
+    lands in it.  Branch expectations share the denominator sigma(f'), so
+    candidates compare by integer numerator alone and the choice is exact;
+    the first candidate reaching the maximum wins.
+
+    Count tables.  Group the live sets by class (u, [a in S]).  With
+    f2 = f - 2, b's numerator is base + sum_class cnt[b, class] * w[class],
+    where cnt[b, class] counts the live sets of that class containing b,
+    base = sum_class N_class * lambda_simple(f2, u - [a in S]), and
+    w = lambda_simple(f2, u-1) - lambda_simple(f2, u) when a is not in S,
+    w = -lambda_simple(f2, u-1) when it is (the 2-cycle kills the set).
+    One bincount over the (set, element) pairs of live sets and free
+    elements fills cnt for every candidate at once, and one exact
+    integer product with the weights scores them: a step costs
+    O(P + f * k) for P membership pairs and k <= 2 (s + 1) classes, s the
+    largest set size, instead of O(f * m) set visits.  The fixed-point
+    branch is sum_class N_class * lambda_simple(f - 1, u) over the classes
+    with a not in S.  Everything stays in exact integers.
+
+    The chosen branch's expectation never drops below the pre-branch
+    expectation (the branches partition the uniform measure); this is
+    checked at every step, which makes the returned count >= the ceiling
+    of the profile bound unconditionally.  Either check failing raises
+    RuntimeError.
+    """
+    n = c.n
+    m = len(c.sets)
+    inc = c.incidence
+    sizes = np.bincount(inc.sets, minlength=m)
+    classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
+    lam = [[lambda_simple(f, u) for u in range(classes // 2)] for f in range(n + 1)]
+    sig = [sigma(f) for f in range(n + 1)]
+
+    # (set, element) membership pairs, grouped by element
+    order = np.argsort(inc.elements, kind="stable")
+    pair_set, pair_elem = inc.sets[order], inc.elements[order]
+    starts = np.searchsorted(pair_elem, np.arange(n + 1))
+
+    live = sizes.copy()  # |S & free|, for every set
+    alive = np.ones(m, dtype=bool)
+    is_free = np.ones(n, dtype=bool)
+    free = list(range(n))
+    image = list(range(n))
+
+    while free:
+        f = len(free)
+        a = free[0]
+        a_sets = pair_set[starts[a] : starts[a + 1]]
+        cls = 2 * live
+        cls[a_sets] += 1
+        present = np.bincount(cls[alive], minlength=classes)
+        groups = [(k >> 1, k & 1, int(present[k])) for k in np.flatnonzero(present).tolist()]
+        pre_num = sum(size * lam[f][u] for u, _, size in groups)
+
+        best_b = None
+        best_num = -1
+        best_f2 = f - 2
+        if f >= 2:
+            f2 = f - 2
+            base = sum(size * lam[f2][u - a_in] for u, a_in, size in groups)
+            # b in S turns lam(f2, u - [a in S]) into lam(f2, u - 1), or kills S
+            cols = np.array([2 * u + a_in for u, a_in, _ in groups], dtype=np.intp)
+            weights = [
+                (0 if a_in else lam[f2][u - 1]) - lam[f2][u - a_in] if u else 0
+                for u, a_in, _ in groups
+            ]
+            keep = alive[pair_set] & is_free[pair_elem]
+            cnt = np.bincount(
+                pair_elem[keep] * classes + cls[pair_set[keep]], minlength=n * classes
+            ).reshape(n, classes)
+            cand = free[1:]
+            nums = cnt[np.ix_(cand, cols)].astype(object) @ np.array(weights, dtype=object)
+            i = int(nums.argmax())  # the first maximum
+            best_b, best_num = cand[i], base + nums[i]
+        if f % 2 == 1:
+            num = sum(size * lam[f - 1][u] for u, a_in, size in groups if not a_in)
+            # different denominator: compare num/sig[f-1] with best/sig[f-2]
+            if best_b is None or num * sig[f - 2] > best_num * sig[f - 1]:
+                best_b, best_num, best_f2 = _FIXED, num, f - 1
+
+        # conditional expectation may only rise: best/sig[f2] >= pre/sig[f]
+        if best_num * sig[f] < pre_num * sig[best_f2]:
+            raise RuntimeError("greedy step lost expectation")
+
+        live[a_sets] -= 1
+        is_free[a] = False
+        if best_b == _FIXED:
+            alive[a_sets] = False
+            free = free[1:]
+        else:
+            image[a], image[best_b] = best_b, a
+            b_sets = pair_set[starts[best_b] : starts[best_b + 1]]
+            live[b_sets] -= 1
+            is_free[best_b] = False
+            alive[np.intersect1d(a_sets, b_sets, assume_unique=True)] = False
+            free = [x for x in free[1:] if x != best_b]
+
+    perm = Permutation(n, tuple(image), is_simple=True)
+    count = int(inverted(c, perm).sum())
+    bound = kappa_lower_bound(SizeProfile.from_collection(c))
+    if count < ceil(bound):
+        raise RuntimeError("derandomization guarantee violated")
     return perm, count
 
 

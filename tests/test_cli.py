@@ -121,6 +121,25 @@ def test_kappa(tmp_path, capsys):
     assert code == 0 and "inverts 8 of 10" in out
 
 
+def test_consecutive_calls_share_nothing(tmp_path, capsys):
+    # the argument tree is built once per process; no call's options reach the next
+    f = tmp_path / "c.txt"
+    f.write_text("4\n0\n1\n2\n3\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    _, exhaustive = run(capsys, "kappa", "--input", str(f), "--exhaustive")
+    assert "exhaustive optimum:" in exhaustive
+    code, plain = run(capsys, "kappa", "--input", str(f))
+    assert code == 0
+    assert "derandomized simple permutation: inverts 8 of 10" in plain
+    assert "exhaustive" not in plain
+
+    code, doc = run(capsys, "--json", "kappa", "--input", str(f))
+    assert code == 0 and json.loads(doc)["inverted_count"] == 8
+    code, text = run(capsys, "kappa", "--input", str(f))
+    assert code == 0 and text == plain
+    code, text = run(capsys, "sigma", "6")
+    assert code == 0 and text == "15\n"
+
+
 def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch):
     f = tmp_path / "c.txt"
     f.write_text("4\n0\n1\n")

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from setpack import (
@@ -22,6 +24,7 @@ from setpack.kappa import oversized_count, simple_permutations
 from setpack.qcube import direction_collection, recursive_blocking_set
 
 from oracles import (
+    count_table_find_simple_permutation,
     naive_find_simple_permutation,
     naive_simple_permutations,
     random_collection,
@@ -219,6 +222,63 @@ def test_find_simple_matches_reference_on_cube_directions():
         p, count = find_simple_permutation(c)
         q, expected = naive_find_simple_permutation(c)
         assert p.image == q.image and count == expected, d
+
+
+def test_lambda_row_recurrence():
+    for f in range(60):
+        assert kappa._lambda_row(f, f) == [lambda_simple(f, u) for u in range(f + 1)], f
+    for f in (199, 200, 201, 1000):
+        assert kappa._lambda_row(f, 26) == [lambda_simple(f, u) for u in range(27)], f
+
+
+def test_first_max_over_limbs_is_exact():
+    # signed multi-limb weights, many tied candidates: value and first maximum
+    rng = random.Random(16)
+    for trial in range(60):
+        width = rng.choice([2, 5, 17, 52])
+        bits = rng.choice([1, width, 3 * width + 1, 300])
+        weights = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 9))]
+        if trial % 3 == 0:
+            weights[-1] = -(1 << bits)  # the most negative top digit
+        cnt = np.array(
+            [[rng.randint(0, 3) for _ in weights] for _ in range(rng.randint(1, 7))]
+        )
+        cnt = np.repeat(cnt, 2, axis=0)  # every score occurs twice
+        exact = [sum(int(k) * w for k, w in zip(row, weights)) for row in cnt]
+        i, value = kappa._first_max(cnt @ kappa._limbs(weights, width), width)
+        assert (i, value) == (exact.index(max(exact)), max(exact))
+
+
+def _sized_collection(seed: int, n: int, m: int, largest: int) -> Collection:
+    rng = random.Random(seed)
+    return Collection(
+        n, tuple(Subset.of(n, rng.sample(range(n), rng.randint(1, largest))) for _ in range(m))
+    )
+
+
+def test_find_simple_matches_count_table_search(monkeypatch):
+    limbs, limb_shapes = kappa._limbs, set()
+
+    def spy(weights, width):
+        digits = limbs(weights, width)
+        limb_shapes.add((width, digits.shape[1]))
+        return digits
+
+    monkeypatch.setattr(kappa, "_limbs", spy)
+    cases = [(seed, n, 5 * n, n // 8) for n in (120, 121, 200, 201) for seed in (1, 2)]
+    cases += [(3, 250, 600, 125), (4, 40, 1 << 14, 3)]  # several limbs; a narrower limb
+    for case in cases:
+        c = _sized_collection(*case)
+        p, count = find_simple_permutation(c)
+        q, expected = count_table_find_simple_permutation(c)
+        assert p.image == q.image and count == expected, case
+    assert max(count for _, count in limb_shapes) > 1
+    assert min(width for width, _ in limb_shapes) < 62 - (5 * 201).bit_length()
+
+
+def test_find_simple_refuses_collections_too_large_for_limbs():
+    with pytest.raises(ValueError, match="limb width"):
+        find_simple_permutation(SimpleNamespace(n=4, sets=range(1 << 60)))
 
 
 def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):
