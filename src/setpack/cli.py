@@ -176,7 +176,7 @@ def _cmd_kappa(args, out: Outcome):
 
 def _cmd_pack_build(args, out: Outcome):
     family, trace = pack.construct_packing_traced(args.n, args.alpha)
-    report = trace.report  # the construction's exhaustive check of the returned family
+    report = trace.report  # the construction's certificate or check of the returned family
     violations = pack.shared_constituent_violations(trace)
     out.say(
         f"built {len(family.blocks)} blocks of size {family.block_size} "

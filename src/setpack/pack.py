@@ -13,6 +13,8 @@ block (l, m) takes sub-block l from part 1, m from part 2 and
 (l + (j-1) m) mod q from part j >= 3.  Distinct index pairs agree in at
 most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
+Each product level is certified from that proof in O(parts + block size);
+base and fallback levels, and family files, are checked pair by pair.
 
 This module also derives the "no three invertible" collections: gluing a
 common core K onto blocks with small pairwise intersections produces
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
+from operator import getitem
 import random
 
 import numpy as np
@@ -43,7 +46,6 @@ class PackingFamily:
     n: int
     blocks: tuple[Subset, ...]
     declared_alpha: Fraction
-    achieved_c: Fraction
 
     def __post_init__(self):
         sizes = {b.cardinality() for b in self.blocks}
@@ -56,12 +58,15 @@ class PackingFamily:
     @classmethod
     def of(cls, n: int, blocks, alpha) -> "PackingFamily":
         blocks = tuple(b if isinstance(b, Subset) else Subset.of(n, b) for b in blocks)
-        size = blocks[0].cardinality() if blocks else 0
-        return cls(n, blocks, Fraction(alpha), Fraction(size, n) if n else Fraction(0))
+        return cls(n, blocks, Fraction(alpha))
 
     @property
     def block_size(self) -> int:
         return self.blocks[0].cardinality() if self.blocks else 0
+
+    @property
+    def achieved_c(self) -> Fraction:
+        return Fraction(self.block_size, self.n) if self.n else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -192,23 +197,48 @@ class LevelTrace:
     constituents: tuple[tuple[int, ...], ...] | None
     size: int
     block_size: int
-    report: PackingReport  # verify_packing of this level's family
+    report: PackingReport  # this level's check: verify_packing's, or the certificate's
     sub: "LevelTrace | None"
 
 
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
+
+
 def _largest_prime_at_most(x: int) -> int | None:
-    for q in range(x, 1, -1):
-        if all(q % d for d in range(2, int(q**0.5) + 1)):
-            return q
-    return None
+    return next((q for q in range(x, 1, -1) if _is_prime(q)), None)
+
+
+def _certified_report(family: PackingFamily, sub: LevelTrace, q: int, coeffs) -> PackingReport:
+    """The report verify_packing gives a product level, from its proof:
+    blocks from distinct index pairs agree in at most one coordinate, so
+    they are distinct and meet in at most U = sub_block + (parts-1)*sub_max
+    points.  When the witness blocks 0 and 1 (coordinates all 0, and 0, 1,
+    ..., parts-1) meet in U, U is the maximum and (0, 1) the first pair
+    reaching it; otherwise the level is checked exhaustively."""
+    parts = len(coeffs) + 2
+    size = family.block_size
+    threshold = family.declared_alpha * size
+    bound = sub.report.block_size + (parts - 1) * sub.report.max_intersection
+    for failed, why in (
+        (not sub.report.ok, "the sub-level report is not ok"),
+        (not (_is_prime(q) and q > parts), f"q = {q} is not a prime above {parts}"),
+        (len(set(coeffs)) < len(coeffs) or not all(2 <= a < q for a in coeffs),
+         f"coefficients {coeffs} are not distinct in [2, {q})"),
+        (not bound < threshold, f"U = {bound} is not below the threshold {threshold}"),
+    ):
+        if failed:
+            raise RuntimeError(f"constructed family fails its certificate: {why}")
+    if (family.blocks[0].bits & family.blocks[1].bits).bit_count() != bound:
+        return verify_packing(family)
+    count = len(family.blocks)
+    return PackingReport(True, count * (count - 1) // 2, bound, threshold, size, True, (0, 1))
 
 
 def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     alpha = Fraction(1, k)
     if n * alpha <= 4:  # base: n singleton blocks
-        family = PackingFamily(
-            n, tuple(Subset(n, 1 << x) for x in range(n)), alpha, Fraction(1, n)
-        )
+        family = PackingFamily(n, tuple(Subset(n, 1 << x) for x in range(n)), alpha)
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("singleton base family fails its own check")
@@ -223,7 +253,7 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     if q is None or q <= parts:
         # no usable prime: stop the recursion here and hand back the
         # sub-family, which satisfies the stricter alpha/2 and hence alpha
-        family = PackingFamily(p, sub_family.blocks, alpha, sub_family.achieved_c)
+        family = PackingFamily(p, sub_family.blocks, alpha)
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("fallback family fails its own check")
@@ -234,27 +264,18 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         return family, trace
 
     coeffs = tuple(j - 1 for j in range(3, parts + 1))
-    sub_bits = [b.bits for b in ordered[:q]]
-    blocks = []
-    constituents = []
-    for l in range(q):
-        for m in range(q):
-            idx = (l, m) + tuple((l + a * m) % q for a in coeffs)
-            bits = 0
-            for part, i in enumerate(idx):
-                bits |= sub_bits[i] << (part * p)
-            blocks.append(Subset(parts * p, bits))
-            constituents.append(idx)
-
     used_n = parts * p
+    placed = [[b.bits << (part * p) for b in ordered[:q]] for part in range(parts)]  # [part][index]
+    constituents = tuple((l, m) + tuple((l + a * m) % q for a in coeffs) for l in range(q) for m in range(q))
+    blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in constituents)
     block_size = parts * sub_family.block_size
-    family = PackingFamily(used_n, tuple(blocks), alpha, Fraction(block_size, used_n))
-    report = verify_packing(family)
+    family = PackingFamily(used_n, blocks, alpha)
+    report = _certified_report(family, sub_trace, q, coeffs)
     if not report.ok:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
     trace = LevelTrace(
         n, used_n, alpha, False, False, parts, q, coeffs,
-        tuple(constituents), len(blocks), block_size, report, sub_trace,
+        constituents, len(blocks), block_size, report, sub_trace,
     )
     return family, trace
 
@@ -312,14 +333,10 @@ def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GR
     num, den = alpha.numerator, alpha.denominator
     kept: list[int] = []
     for combo in combinations(range(n), cn_size):
-        bits = 0
-        for x in combo:
-            bits |= 1 << x
+        bits = sum(1 << x for x in combo)
         if all(den * (bits & kb).bit_count() < num * cn_size for kb in kept):
             kept.append(bits)
-    family = PackingFamily(
-        n, tuple(Subset(n, b) for b in kept), alpha, Fraction(cn_size, n)
-    )
+    family = PackingFamily(n, tuple(Subset(n, b) for b in kept), alpha)
     if alpha <= 1:
         stats = packing_graph_stats(n, cn_size, alpha)
         if len(kept) * (stats.D + 1) < stats.N:
@@ -335,7 +352,7 @@ def residue_family(n: int, k: int, budget: int = DEFAULT_GREEDY_BUDGET) -> Packi
     head = n // 2 - k
     window = greedy_independent_set(n - head, k, Fraction(1, 3), budget)
     blocks = tuple(Subset(n, b.bits << head) for b in window.blocks)
-    return PackingFamily(n, blocks, Fraction(1, 3), Fraction(k, n))
+    return PackingFamily(n, blocks, Fraction(1, 3))
 
 
 def no_three_invertible_family(
@@ -407,5 +424,4 @@ def parse_family(text: str, alpha=None) -> PackingFamily:
     if declared is None:
         raise ValueError("no alpha given and none found in the file header")
     col = parse_collection(text)
-    size = col.sets[0].cardinality() if col.sets else 0
-    return PackingFamily(col.n, col.sets, declared, Fraction(size, col.n) if col.n else Fraction(0))
+    return PackingFamily(col.n, col.sets, declared)

@@ -150,10 +150,6 @@ class Permutation:
                     "simple permutation must have floor(n/2) two-cycles"
                 )
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple(range(n)))
-
     def __repr__(self):
         return f"Permutation({self.n}, {list(self.image)})"
 
@@ -168,20 +164,14 @@ def apply(p: Permutation, s: Subset) -> Subset:
     """The image set {p(x) : x in s}; cardinality is preserved."""
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
-    bits = 0
-    for x in s.elements():
-        bits |= 1 << p.image[x]
-    return Subset(s.n, bits)
+    return Subset(s.n, sum(1 << p.image[x] for x in s.elements()))
 
 
 def inverts(p: Permutation, s: Subset) -> bool:
     """True iff p(s) and s are disjoint."""
     if p.n != s.n:
         raise ValueError(f"permutation on {p.n} points applied to subset of [0, {s.n})")
-    for x in s.elements():
-        if (s.bits >> p.image[x]) & 1:
-            return False
-    return True
+    return not any((s.bits >> p.image[x]) & 1 for x in s.elements())
 
 
 def inverted(c: Collection, p: Permutation) -> np.ndarray:
@@ -245,6 +235,7 @@ def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: 
 
 
 _PARSE_BLOCK = 1 << 15  # bytes read at once, up to a line end; 1 << 18 more than doubles the peak
+_WRITE_BLOCK = 1 << 15  # membership pairs written at once
 
 
 def parse_collection(text: str) -> Collection:
@@ -339,7 +330,8 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
     Empty member sets cannot be represented (the format has no line for
     them), nor can comments beyond tab and printable ASCII be read back,
     so both are rejected.  The sets are written from the membership pairs
-    into one byte buffer, one digit place at a time.
+    into one byte buffer, _WRITE_BLOCK pairs at a time, each digit place
+    over the elements that still have one.
     """
     lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
     out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
@@ -352,17 +344,22 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
     if (sizes == 0).any():
         raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
     e = inc.elements
-    places = len(str(int(e.max()))) if e.size else 1
-    digits = np.ones(e.size, np.int64)
-    for k in range(1, places):
+    digits = np.ones(e.size, np.uint8)
+    for k in range(1, len(str(int(e.max()))) if e.size else 1):
         digits += e >= 10**k
-    end = np.cumsum(digits + 1)  # one past each element's separator
-    buf = np.full(int(end[-1]) if e.size else 0, 32, np.uint8)  # ' '
-    buf[end[np.cumsum(sizes) - 1] - 1] = 10  # '\n' after a set's last element
-    for k in range(places):
-        wide = digits > k
-        buf[(end - 2 - k)[wide]] = 48 + (e[wide] // 10**k) % 10
-    return "\n".join(out) + "\n" + buf.tobytes().decode("ascii")
+    buf = np.full(int(digits.sum(dtype=np.int64)) + e.size, 32, np.uint8)  # ' '
+    last = np.cumsum(sizes) - 1  # each set's last pair, followed by '\n'
+    at = 0
+    for a in range(0, e.size, _WRITE_BLOCK):
+        end = at + np.cumsum(digits[a : a + _WRITE_BLOCK] + 1, dtype=np.int64)  # past each separator
+        lo, hi = np.searchsorted(last, [a, a + end.size])
+        buf[end[last[lo:hi] - a] - 1] = 10
+        at, pos, rest = int(end[-1]), end - 2, e[a : a + _WRITE_BLOCK]
+        while pos.size:  # lowest digit place first
+            buf[pos] = 48 + rest % 10
+            rest = rest // 10
+            pos, rest = pos[rest > 0] - 1, rest[rest > 0]
+    return "\n".join(out) + "\n" + str(buf, "ascii")
 
 
 def parse_permutation(text: str) -> Permutation:

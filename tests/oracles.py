@@ -21,7 +21,7 @@ writer naive_serialize_collection, the permutation file's token-by-token
 parser naive_parse_permutation, the per-bit naive_conflict_graph and
 naive_elements, Subset.elements() through iter_bits; and
 brute_force_invertible, the pruned lexicographic search that was the
-library's own testing oracle."""
+library's own testing oracle.  identity_permutation is a test helper."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -44,6 +44,10 @@ from setpack import (
 )
 from setpack.pack import LevelTrace, PackingReport
 from setpack.setcore import FormatError
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(n, tuple(range(n)))
 
 
 def iter_bits(bits: int):

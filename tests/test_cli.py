@@ -5,9 +5,8 @@ import pytest
 
 from setpack import kappa, pack, qcube
 from setpack.cli import main, parse_ratio
-from setpack.setcore import Permutation
 
-from oracles import naive_verify_packing
+from oracles import identity_permutation, naive_verify_packing
 from fractions import Fraction
 
 
@@ -152,7 +151,7 @@ def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "internal error: boom" in capsys.readouterr().err
 
     # a miscounting search fails the command's own recount
-    monkeypatch.setattr(kappa, "find_simple_permutation", lambda col: (Permutation.identity(4), 2))
+    monkeypatch.setattr(kappa, "find_simple_permutation", lambda col: (identity_permutation(4), 2))
     assert main(["kappa", "--input", str(f)]) == 4
     assert "internal error: self-check failed" in capsys.readouterr().err
 
@@ -191,10 +190,11 @@ def test_pack_build_checks_once_per_level(monkeypatch, capsys):
         code, out = run(capsys, "--json", "pack", "build", "--n", str(n), "--alpha", alpha)
         checked = list(calls)
         family, trace = pack.construct_packing_traced(n, Fraction(alpha))
-        levels = []
+        levels = []  # product levels are certified, not re-checked
         node = trace
         while node is not None:
-            levels.append(node.size)
+            if node.base or node.fallback:
+                levels.append(node.size)
             node = node.sub
         assert code == 0 and checked == levels[::-1], (n, alpha, checked)
         doc = json.loads(out)

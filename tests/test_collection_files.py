@@ -332,6 +332,27 @@ def test_sets_span_parse_blocks(monkeypatch):
         assert parsed(parse_collection, bad) == parsed(naive_parse_collection, bad)
 
 
+def test_sets_span_write_blocks(monkeypatch):
+    rng = random.Random(9)
+    c = Collection(2000, tuple(s for d in drawn(rng, 2000, 6) for s in d.sets))
+    for size in (1, 7, 100):
+        monkeypatch.setattr(setcore, "_WRITE_BLOCK", size)
+        assert serialize_collection(c, ("note",)) == naive_serialize_collection(c, ("note",))
+
+
+def test_write_holds_a_few_copies_of_its_text():
+    fam = pack.construct_packing(400, "1/2")  # 12,769 blocks
+    c = Collection(fam.n, fam.blocks)
+    c.incidence  # the record is the collection's, built before the writer runs
+    tracemalloc.start()
+    try:
+        text = serialize_collection(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)  # the byte buffer, its string and the joined text
+
+
 def test_parse_holds_no_more_memory_than_the_oracle():
     text = pack.serialize_family(pack.construct_packing(400, "1/2"))  # 12,769 blocks
 

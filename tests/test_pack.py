@@ -152,7 +152,7 @@ def test_verify_packing_matches_dense_oracle(monkeypatch, wide_families, row_cel
             seen_tie |= inter.count(rep.max_intersection) > 1
     assert seen_dup and seen_zero and seen_tie
     # the 0-point ground set: every block is empty, so any two coincide
-    empty = PackingFamily(0, (Subset(0, 0),) * 3, Fraction(1, 2), Fraction(0))
+    empty = PackingFamily(0, (Subset(0, 0),) * 3, Fraction(1, 2))
     assert verify_packing(empty) == naive_verify_packing(empty)
     for fam, oracle in wide_families:
         assert verify_packing(fam) == oracle, fam.block_size
@@ -162,7 +162,7 @@ def test_verify_packing_exact_on_huge_ground_set():
     # 2**24 points, where float32 counts would stop being exact
     n = 1 << 24
     top = 1 << (n - 1)
-    fam = PackingFamily(n, (Subset(n, 1 | top), Subset(n, 2 | top)), Fraction(1), Fraction(2, n))
+    fam = PackingFamily(n, (Subset(n, 1 | top), Subset(n, 2 | top)), Fraction(1))
     assert verify_packing(fam) == PackingReport(True, 1, 1, Fraction(2), 2, True, (0, 1))
 
 
@@ -178,9 +178,72 @@ def test_sweep_reports_match_oracles():
             node = node.sub
 
 
+def test_certificate_matches_exhaustive_check():
+    # every level of every family of at most 4,000 blocks up to n = 300
+    def count(n, k):  # the construction's block count, without its blocks
+        if n <= 4 * k:
+            return n
+        sub = count(n // (2 * k), 2 * k)
+        q = pack._largest_prime_at_most(sub)
+        return sub if q is None or q <= 2 * k else q * q
+
+    oracle = {}
+    for k in (1, 2, 3, 4, 8):
+        for n in range(2, 301):
+            if count(n, k) > 4_000:
+                continue
+            fam, trace = construct_packing_traced(n, Fraction(1, k))
+            assert len(fam.blocks) == count(n, k)
+            node = trace
+            while node is not None:
+                key = (node.requested_n, node.alpha)
+                if key not in oracle:
+                    oracle[key] = verify_packing(construct_packing(*key))
+                assert node.report == oracle[key], (n, k, key)
+                node = node.sub
+
+
+def test_certificate_falls_back_when_the_witness_falls_short(monkeypatch):
+    # sub-blocks 0,1 are disjoint but 0,2 meet: blocks 0 and 1 meet in
+    # 2 < U = 2 + 1 points, and the pair (0, 2) reaches U
+    sub_fam = PackingFamily.of(4, [[0, 1], [2, 3], [0, 2]], Fraction(1))
+    sub = LevelTrace(4, 4, Fraction(1), True, False, 0, None, (), None, 3, 2,
+                     verify_packing(sub_fam), None)
+    bits = [b.bits for b in sub_fam.blocks]
+    fam = PackingFamily(8, tuple(Subset(8, bits[l] | bits[m] << 4) for l in range(3) for m in range(3)),
+                        Fraction(1))
+    calls = []
+    real = pack.verify_packing
+    monkeypatch.setattr(pack, "verify_packing", lambda f: calls.append(f) or real(f))
+    rep = pack._certified_report(fam, sub, 3, ())
+    assert calls == [fam]
+    assert rep == naive_verify_packing(fam)
+    assert (rep.max_intersection, rep.worst_pair) == (3, (0, 2))
+
+
+def test_product_levels_skip_the_exhaustive_check(monkeypatch):
+    calls = []
+    real = pack.verify_packing
+    monkeypatch.setattr(pack, "verify_packing", lambda f: calls.append(len(f.blocks)) or real(f))
+    products = 0
+    for n, alpha in ((400, "1/2"), (3000, "1/16"), (2000, "1/16"), (1000, "1/8"),
+                     (28, "1/2"), (2000, "1/8"), (500, "1/4"), (300, "1/3")):
+        calls.clear()
+        _, trace = construct_packing_traced(n, Fraction(alpha))
+        checked = []
+        node = trace
+        while node is not None:
+            if node.base or node.fallback:
+                checked.append(node.size)
+            products += node.q is not None
+            node = node.sub
+        assert calls == checked[::-1], (n, alpha)
+    assert products >= 6
+
+
 def test_shared_constituent_violations_match_oracle():
     def level(constituents, sub=None):
-        rep = verify_packing(PackingFamily(1, (), Fraction(1), Fraction(0)))
+        rep = verify_packing(PackingFamily(1, (), Fraction(1)))
         return LevelTrace(8, 8, Fraction(1, 2), False, False, 4, 3, (2, 3),
                           constituents, len(constituents), 1, rep, sub)
 
@@ -342,17 +405,18 @@ def test_self_checks_raise(monkeypatch, capsys):
         return lambda f: replace(real(f), ok=False) if when(f) else real(f)
 
     half = Fraction(1, 2)
-    for n, when, message in (
-        (28, lambda f: True, "singleton base family"),
-        (9, lambda f: f.declared_alpha == half, "fallback family"),
-        (28, lambda f: len(f.blocks) == 49, "constructed family"),
+    for n, name, patched, message in (
+        (28, "verify_packing", failing(lambda f: True), "singleton base family"),
+        (9, "verify_packing", failing(lambda f: f.declared_alpha == half), "fallback family"),
+        # q = 6 over the 7 singletons below n = 28: the certificate refuses it
+        (28, "_largest_prime_at_most", lambda x: x - 1, "constructed family"),
     ):
-        monkeypatch.setattr(pack, "verify_packing", failing(when))
+        monkeypatch.setattr(pack, name, patched)
         with pytest.raises(RuntimeError, match=message):
             construct_packing(n, half)
         assert main(["pack", "build", "--n", str(n), "--alpha", "1/2"]) == 4
         assert "internal error" in capsys.readouterr().err
-    monkeypatch.undo()
+        monkeypatch.undo()
 
     def low_floor(n, cn_size, alpha):
         stats = packing_graph_stats(n, cn_size, alpha)
