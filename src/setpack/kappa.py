@@ -125,7 +125,8 @@ def exhaustive_kappa(
 ) -> tuple[Permutation, int]:
     """Maximize the inverted-set count by enumeration (testing oracle).
 
-    Returns the first maximizer in enumeration order; n is capped.
+    Returns the first maximizer in enumeration order; n is capped.  Its
+    count is recounted and at least ceil(kappa_lower_bound), or it raises.
     """
     if c.n > limit:
         raise ValueError(f"n={c.n} exceeds exhaustive limit {limit}")
@@ -141,6 +142,9 @@ def exhaustive_kappa(
             best, best_count = p, count
     if best is None:
         raise RuntimeError("no permutation enumerated; at least the identity exists")
+    bound = kappa_lower_bound(SizeProfile.from_collection(c))
+    if int(inverted(c, best).sum()) != best_count or best_count < ceil(bound):
+        raise RuntimeError("exhaustive optimum fails its recount or the averaging bound")
     return best, best_count
 
 

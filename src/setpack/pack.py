@@ -15,6 +15,8 @@ most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
 Each product level is certified from that proof in O(parts + block size);
 base and fallback levels, and family files, are checked pair by pair.
+A family is a Collection of its blocks with the alpha it claims; a
+level's record keeps the construction's choices and derives the rest.
 
 This module also derives the "no three invertible" collections: gluing a
 common core K onto blocks with small pairwise intersections produces
@@ -40,25 +42,24 @@ ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of verify_packing's counts
 
 
 @dataclass(frozen=True)
-class PackingFamily:
-    """Equal-size blocks plus the parameters they are claimed to satisfy."""
+class PackingFamily(Collection):
+    """Equal-size blocks (the sets) plus the alpha they are claimed to satisfy."""
 
-    n: int
-    blocks: tuple[Subset, ...]
     declared_alpha: Fraction
 
     def __post_init__(self):
-        sizes = {b.cardinality() for b in self.blocks}
-        if len(sizes) > 1:
+        super().__post_init__()
+        if len({b.cardinality() for b in self.sets}) > 1:
             raise ValueError("blocks must have equal cardinality")
-        for b in self.blocks:
-            if b.n != self.n:
-                raise ValueError("block ground size differs from family ground size")
 
     @classmethod
     def of(cls, n: int, blocks, alpha) -> "PackingFamily":
         blocks = tuple(b if isinstance(b, Subset) else Subset.of(n, b) for b in blocks)
         return cls(n, blocks, Fraction(alpha))
+
+    @property
+    def blocks(self) -> tuple[Subset, ...]:
+        return self.sets
 
     @property
     def block_size(self) -> int:
@@ -129,11 +130,11 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     by_point[x] over the points x of i.  The upper triangle is taken in
     row blocks of about ROW_BLOCK_CELLS cells, so the cost is about
     count**2 * size / 2 byte additions.  The points and packed rows come
-    from the family's incidence record.  Memory peaks at the n x count
-    byte transpose of the 0/1 rows, built one bit plane at a time, with
-    each block's point indices and one row block.  The
-    counts are integers in the smallest unsigned type that holds
-    block_size, so they are exact for every n.
+    from the family's incidence record, which the family keeps for its
+    writer.  Memory peaks at the n x count byte transpose of the 0/1 rows,
+    built one bit plane at a time, with each block's point indices and one
+    row block.  The counts are integers in the smallest unsigned type that
+    holds block_size, so they are exact for every n.
     worst_pair is the lexicographically first pair reaching the maximum.
     """
     size = f.block_size
@@ -143,18 +144,16 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     if count < 2:
         return PackingReport(distinct, 0, 0, threshold, size, distinct)
 
-    inc = Collection(f.n, f.blocks).incidence
-    points = inc.elements.reshape(count, size)  # row i: block i's points
-    rows = inc.rows
-    width = rows.shape[1]
-    del inc  # frees the pairs' set indices
+    points = f.incidence.elements.reshape(count, size)  # row i: block i's points
+    rows = f.incidence.rows
     # by_point[x, j] = 1 iff block j holds point x: the packed bytes are
     # transposed, then bit k of byte b goes to row 8b + k, one bit plane
-    # at a time, so no second n x count array is made
-    columns = np.ascontiguousarray(rows.T)
-    by_point = np.empty((8 * width, count), np.uint8)
+    # at a time from the copy shifted in place, so no n x count temporary
+    columns = rows.T.copy()  # always a writable C-order copy, shifted below
+    by_point = np.empty((8 * rows.shape[1], count), np.uint8)
     for k in range(8):
-        np.bitwise_and(columns >> k, 1, out=by_point[k::8])
+        np.bitwise_and(columns, 1, out=by_point[k::8])
+        columns >>= 1
     by_point = by_point[: f.n]
     acc_type = np.min_scalar_type(size)  # no count exceeds size
     max_int, worst = -1, None
@@ -184,21 +183,34 @@ def verify_packing(f: PackingFamily) -> PackingReport:
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """Construction record for one recursion level (sub levels nested)."""
+    """Construction record for one recursion level (sub levels nested):
+    the prime q and coefficients of a product level (None and () on base
+    and fallback levels), the block count, the level's check (the
+    certificate's or verify_packing's report) and the sub-level.  Derived:
+    a base level has no sub-level, a fallback level no q; a product level
+    has len(coefficients) + 2 parts and constituent_table(q, coefficients);
+    the block size is report.block_size."""
 
     requested_n: int
     used_n: int
     alpha: Fraction
-    base: bool
-    fallback: bool
-    parts: int
     q: int | None
     coefficients: tuple[int, ...]
-    constituents: tuple[tuple[int, ...], ...] | None
     size: int
-    block_size: int
-    report: PackingReport  # this level's check: verify_packing's, or the certificate's
+    report: PackingReport
     sub: "LevelTrace | None"
+
+    @property
+    def fallback(self) -> bool:
+        return self.sub is not None and self.q is None
+
+
+def constituent_table(q: int, coeffs) -> np.ndarray:
+    """int64 (q*q, parts) table: row l*q + m holds the sub-block index
+    each part takes for block (l, m), namely l, m and (l + a*m) mod q for
+    each coefficient a."""
+    l, m = np.divmod(np.arange(q * q), q)
+    return np.stack([l, m] + [(l + a * m) % q for a in coeffs], axis=1)
 
 
 def _is_prime(q: int) -> bool:
@@ -242,8 +254,7 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("singleton base family fails its own check")
-        trace = LevelTrace(n, n, alpha, True, False, 0, None, (), None, n, 1, report, None)
-        return family, trace
+        return family, LevelTrace(n, n, alpha, None, (), n, report, None)
 
     parts = 2 * k
     sub_family, sub_trace = _construct(n // parts, 2 * k)
@@ -257,27 +268,18 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("fallback family fails its own check")
-        trace = LevelTrace(
-            n, p, alpha, False, True, parts, None, (), None,
-            len(sub_family.blocks), sub_family.block_size, report, sub_trace,
-        )
-        return family, trace
+        return family, LevelTrace(n, p, alpha, None, (), len(sub_family.blocks), report, sub_trace)
 
     coeffs = tuple(j - 1 for j in range(3, parts + 1))
     used_n = parts * p
     placed = [[b.bits << (part * p) for b in ordered[:q]] for part in range(parts)]  # [part][index]
-    constituents = tuple((l, m) + tuple((l + a * m) % q for a in coeffs) for l in range(q) for m in range(q))
-    blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in constituents)
-    block_size = parts * sub_family.block_size
+    table = constituent_table(q, coeffs).tolist()
+    blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in table)
     family = PackingFamily(used_n, blocks, alpha)
     report = _certified_report(family, sub_trace, q, coeffs)
     if not report.ok:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
-    trace = LevelTrace(
-        n, used_n, alpha, False, False, parts, q, coeffs,
-        constituents, len(blocks), block_size, report, sub_trace,
-    )
-    return family, trace
+    return family, LevelTrace(n, used_n, alpha, q, coeffs, len(blocks), report, sub_trace)
 
 
 def construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
@@ -295,23 +297,22 @@ def construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
 
 
 def construct_packing(n: int, alpha) -> PackingFamily:
-    family, _ = construct_packing_traced(n, alpha)
-    return family
+    return construct_packing_traced(n, alpha)[0]
 
 
 def shared_constituent_violations(trace: LevelTrace) -> int:
     """Pairs of blocks (over all levels) sharing two or more constituent
     sub-blocks.  Zero for every family this module constructs: distinct
     index pairs solve l + a m = l' + a m' for at most one coefficient.
-    Each coordinate pair is one bincount of its index pairs."""
+    Each coordinate pair is one bincount of two columns of the level's
+    constituent table, whose indices lie in [0, q)."""
     violations = 0
     node: LevelTrace | None = trace
     while node is not None:
-        if node.constituents:
-            t = np.array(node.constituents)
-            q = int(t.max()) + 1
+        if node.q is not None:
+            t = constituent_table(node.q, node.coefficients)
             for c1, c2 in combinations(range(t.shape[1]), 2):
-                counts = np.bincount(t[:, c1] * q + t[:, c2])
+                counts = np.bincount(t[:, c1] * node.q + t[:, c2])
                 violations += int((counts * (counts - 1) // 2).sum())
         node = node.sub
     return violations
@@ -344,20 +345,18 @@ def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GR
     return family
 
 
-def residue_family(n: int, k: int, budget: int = DEFAULT_GREEDY_BUDGET) -> PackingFamily:
+def residue_family(n: int, k: int) -> PackingFamily:
     """Default residue blocks for no_three_invertible_family: k-subsets of
     the last n/2 + k elements with pairwise intersections below k/3."""
     if n % 2 or not 1 <= k < n // 2:
         raise ValueError("need even n and 1 <= k < n/2")
     head = n // 2 - k
-    window = greedy_independent_set(n - head, k, Fraction(1, 3), budget)
+    window = greedy_independent_set(n - head, k, Fraction(1, 3), DEFAULT_GREEDY_BUDGET)
     blocks = tuple(Subset(n, b.bits << head) for b in window.blocks)
     return PackingFamily(n, blocks, Fraction(1, 3))
 
 
-def no_three_invertible_family(
-    n: int, k: int, rs: PackingFamily, check_limit: int = DEFAULT_CHECK_LIMIT
-) -> Collection:
+def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
     """Half-size sets S_i = K + R_i with no invertible 3-subcollection.
 
     K is the first n/2 - k elements; the residue blocks R_i are k-subsets
@@ -366,7 +365,7 @@ def no_three_invertible_family(
     are) while the common core forces |S1^S2^S3| > |~S1^~S2^~S3| for any
     triple, violating a necessary condition for invertibility.  Triples
     (and pairs) are re-verified on construction, exhaustively when their
-    number is within check_limit and on a seeded sample otherwise.
+    number is within DEFAULT_CHECK_LIMIT and on a seeded sample otherwise.
     """
     if n % 2:
         raise ValueError("ground size must be even")
@@ -381,23 +380,24 @@ def no_three_invertible_family(
             raise ValueError(f"residue block {i} does not have cardinality {k}")
         if b.bits & head_bits:
             raise ValueError(f"residue block {i} intrudes into the core [0, {head})")
-    for (i, b1), (j, b2) in combinations(enumerate(rs.blocks), 2):
-        if 3 * (b1.bits & b2.bits).bit_count() >= k:
-            raise ValueError(f"residue blocks {i},{j} intersect in >= k/3 elements")
+    report = verify_packing(PackingFamily(n, rs.blocks, Fraction(1, 3)))
+    if not report.ok:
+        i, j = report.worst_pair
+        raise ValueError(f"residue blocks {i},{j} intersect in >= k/3 elements")
 
     col = Collection(n, tuple(Subset(n, head_bits | b.bits) for b in rs.blocks))
     m = len(col.sets)
 
-    def chosen(pool: list, limit: int) -> list:
-        if len(pool) <= limit:
+    def chosen(pool: list) -> list:
+        if len(pool) <= DEFAULT_CHECK_LIMIT:
             return pool
-        return random.Random(0).sample(pool, limit)
+        return random.Random(0).sample(pool, DEFAULT_CHECK_LIMIT)
 
-    for i, j, t in chosen(list(combinations(range(m), 3)), check_limit):
+    for i, j, t in chosen(list(combinations(range(m), 3))):
         sub = Collection(n, (col.sets[i], col.sets[j], col.sets[t]))
         if check_triple(sub):
             raise RuntimeError(f"triple ({i},{j},{t}) unexpectedly satisfies the condition")
-    for i, j in chosen(list(combinations(range(m), 2)), check_limit):
+    for i, j in chosen(list(combinations(range(m), 2))):
         sub = Collection(n, (col.sets[i], col.sets[j]))
         if not decide_invertible(sub).invertible:
             raise RuntimeError(f"pair ({i},{j}) unexpectedly fails to invert")
@@ -409,7 +409,7 @@ def serialize_family(f: PackingFamily) -> str:
         f"packing n={f.n} alpha={f.declared_alpha.numerator}/{f.declared_alpha.denominator} "
         f"c={f.achieved_c.numerator}/{f.achieved_c.denominator}"
     )
-    return serialize_collection(Collection(f.n, f.blocks), [header])
+    return serialize_collection(f, [header])
 
 
 def parse_family(text: str, alpha=None) -> PackingFamily:

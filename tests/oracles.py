@@ -42,7 +42,7 @@ from setpack import (
     lambda_simple,
     sigma,
 )
-from setpack.pack import LevelTrace, PackingReport
+from setpack.pack import LevelTrace, PackingReport, constituent_table
 from setpack.setcore import FormatError
 
 
@@ -389,16 +389,18 @@ def naive_verify_packing(f: PackingFamily) -> PackingReport:
 
 def naive_shared_constituent_violations(trace: LevelTrace) -> int:
     """setpack.pack.shared_constituent_violations as first written: one
-    dict of index pairs per coordinate pair and level."""
+    dict of index pairs per coordinate pair and level, over the rows of
+    each product level's constituent table."""
     violations = 0
     node: LevelTrace | None = trace
     while node is not None:
-        if node.constituents:
-            width = len(node.constituents[0])
+        if node.q is not None:
+            constituents = constituent_table(node.q, node.coefficients).tolist()
+            width = len(constituents[0])
             for c1 in range(width):
                 for c2 in range(c1 + 1, width):
                     buckets: dict[tuple[int, int], int] = {}
-                    for t in node.constituents:
+                    for t in constituents:
                         key = (t[c1], t[c2])
                         buckets[key] = buckets.get(key, 0) + 1
                     violations += sum(v * (v - 1) // 2 for v in buckets.values() if v > 1)

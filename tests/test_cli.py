@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
-from setpack import kappa, pack, qcube
+from setpack import kappa, pack, qcube, setcore
 from setpack.cli import main, parse_ratio
 
-from oracles import identity_permutation, naive_verify_packing
+from oracles import naive_verify_packing
 from fractions import Fraction
 
 
@@ -150,10 +150,10 @@ def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["kappa", "--input", str(f)]) == 4
     assert "internal error: boom" in capsys.readouterr().err
 
-    # a miscounting search fails the command's own recount
-    monkeypatch.setattr(kappa, "find_simple_permutation", lambda col: (identity_permutation(4), 2))
-    assert main(["kappa", "--input", str(f)]) == 4
-    assert "internal error: self-check failed" in capsys.readouterr().err
+    # a miscounting search fails the library's recount and bound check
+    monkeypatch.setattr(kappa, "inverts", lambda p, s: False)
+    assert main(["kappa", "--exhaustive", "--input", str(f)]) == 4
+    assert "internal error: exhaustive optimum fails its recount" in capsys.readouterr().err
 
 
 def test_pack_build_verify_roundtrip(tmp_path, capsys):
@@ -193,13 +193,37 @@ def test_pack_build_checks_once_per_level(monkeypatch, capsys):
         levels = []  # product levels are certified, not re-checked
         node = trace
         while node is not None:
-            if node.base or node.fallback:
+            if node.q is None:  # base or fallback
                 levels.append(node.size)
             node = node.sub
         assert code == 0 and checked == levels[::-1], (n, alpha, checked)
         doc = json.loads(out)
         oracle = naive_verify_packing(family)
         assert (doc["max_intersection"], doc["verified"]) == (oracle.max_intersection, oracle.ok)
+
+
+def test_pack_build_out_builds_one_incidence_per_family(monkeypatch, tmp_path, capsys):
+    # the family's own record serves its check, if any, and the writer
+    built = []
+
+    class Counted(setcore.Incidence):
+        def __init__(self, n, members):
+            built.append(len(members))
+            super().__init__(n, members)
+
+    monkeypatch.setattr(setcore, "Incidence", Counted)
+    out = tmp_path / "fam.txt"
+    # (28, 1/2): 7 checked singletons under 49 certified product blocks;
+    # (10, 1/2): 2 checked singletons, checked again as the fallback family
+    for n, records in ((28, [7, 49]), (10, [2, 2])):
+        built.clear()
+        assert main(["pack", "build", "--n", str(n), "--alpha", "1/2", "--out", str(out)]) == 0
+        assert built == records, n
+    # a product level checked pair by pair, as when its certificate falls back
+    monkeypatch.setattr(pack, "_certified_report", lambda family, *rest: pack.verify_packing(family))
+    built.clear()
+    assert main(["pack", "build", "--n", "28", "--alpha", "1/2", "--out", str(out)]) == 0
+    assert built == [7, 49]
 
 
 def test_pack_verify_accepts_huge_ground_size(tmp_path, capsys):

@@ -19,6 +19,7 @@ from setpack import pack
 from setpack.pack import (
     LevelTrace,
     PackingReport,
+    constituent_table,
     construct_packing_traced,
     no_three_invertible_family,
     parse_family,
@@ -207,8 +208,7 @@ def test_certificate_falls_back_when_the_witness_falls_short(monkeypatch):
     # sub-blocks 0,1 are disjoint but 0,2 meet: blocks 0 and 1 meet in
     # 2 < U = 2 + 1 points, and the pair (0, 2) reaches U
     sub_fam = PackingFamily.of(4, [[0, 1], [2, 3], [0, 2]], Fraction(1))
-    sub = LevelTrace(4, 4, Fraction(1), True, False, 0, None, (), None, 3, 2,
-                     verify_packing(sub_fam), None)
+    sub = LevelTrace(4, 4, Fraction(1), None, (), 3, verify_packing(sub_fam), None)
     bits = [b.bits for b in sub_fam.blocks]
     fam = PackingFamily(8, tuple(Subset(8, bits[l] | bits[m] << 4) for l in range(3) for m in range(3)),
                         Fraction(1))
@@ -233,7 +233,7 @@ def test_product_levels_skip_the_exhaustive_check(monkeypatch):
         checked = []
         node = trace
         while node is not None:
-            if node.base or node.fallback:
+            if node.q is None:  # base or fallback
                 checked.append(node.size)
             products += node.q is not None
             node = node.sub
@@ -241,22 +241,54 @@ def test_product_levels_skip_the_exhaustive_check(monkeypatch):
     assert products >= 6
 
 
-def test_shared_constituent_violations_match_oracle():
-    def level(constituents, sub=None):
-        rep = verify_packing(PackingFamily(1, (), Fraction(1)))
-        return LevelTrace(8, 8, Fraction(1, 2), False, False, 4, 3, (2, 3),
-                          constituents, len(constituents), 1, rep, sub)
+def test_constituent_table():
+    assert constituent_table(3, (2,)).tolist() == [
+        [0, 0, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1], [1, 1, 0], [1, 2, 2], [2, 0, 2], [2, 1, 1], [2, 2, 0]]
+    assert constituent_table(1, ()).tolist() == [[0, 0]]
 
-    # blocks 0,1 share coordinates 0 and 1; blocks 2,3 agree everywhere,
-    # so each of the 3 coordinate pairs counts them; the sub level adds 1
-    top = level(((0, 0, 1), (0, 0, 2), (1, 2, 0), (1, 2, 0)), level(((4, 5), (4, 5), (5, 4))))
-    assert shared_constituent_violations(top) == naive_shared_constituent_violations(top) == 1 + 3 + 1
+
+def test_shared_constituent_violations_match_oracle():
+    rep = verify_packing(PackingFamily(1, (), Fraction(1)))
+
+    def level(q, coeffs, sub=None):
+        return LevelTrace(8, 8, Fraction(1, 2), q, coeffs, q * q, rep, sub)
+
+    # a prime above every coefficient: no two blocks share two sub-blocks,
+    # and a base level below adds nothing
+    base = LevelTrace(2, 2, Fraction(1), None, (), 2, rep, None)
+    assert shared_constituent_violations(level(7, (2, 3, 4, 5), base)) == 0
+    # a repeated coefficient makes two parts agree on every block: q
+    # classes of q blocks, C(q, 2) pairs each; coefficient 0 does the same
+    # with part 1; the sub level's count adds to the top's
+    top = level(5, (2, 2), level(5, (0,)))
+    assert shared_constituent_violations(top) == naive_shared_constituent_violations(top) == 2 * 5 * 10
     rng = random.Random(7)
+    seen_nonzero = 0
     for _ in range(300):
-        width, q = rng.randint(2, 5), rng.randint(1, 9)
-        rows = tuple(tuple(rng.randrange(q) for _ in range(width)) for _ in range(rng.randint(1, 40)))
-        trace = level(rows, level(rows[: len(rows) // 2]) if rng.random() < 0.5 else None)
-        assert shared_constituent_violations(trace) == naive_shared_constituent_violations(trace)
+        parts, q = rng.randint(2, 5), rng.randint(1, 9)  # q prime or not
+        coeffs = tuple(rng.randrange(-2, 2 * q + 2) for _ in range(parts - 2))  # repeats, out of range
+        trace = level(q, coeffs, level(rng.randint(1, 6), coeffs[:1]) if rng.random() < 0.5 else None)
+        count = shared_constituent_violations(trace)
+        assert count == naive_shared_constituent_violations(trace), (q, coeffs)
+        seen_nonzero += count > 0
+    assert 50 < seen_nonzero < 300
+
+
+def test_sweep_traces_keep_what_the_benchmark_reads():
+    # the benchmark reads family.blocks and each level's fallback, size and sub
+    for n, alpha in SWEEP:
+        fam, trace = construct_packing_traced(n, alpha)
+        assert fam.blocks is fam.sets and len(fam.blocks) == trace.size
+        node = trace
+        while node is not None:
+            assert node.fallback is (node.sub is not None and node.q is None)
+            if node.q is not None:
+                assert node.size == node.q**2 and len(node.coefficients) == 2 * node.alpha.denominator - 2
+            elif node.sub is not None:
+                assert node.size == node.sub.size and node.report.block_size == node.sub.report.block_size
+            else:
+                assert node.size == node.used_n == node.requested_n and node.report.block_size == 1
+            node = node.sub
 
 
 def test_construct_base_case():
@@ -276,7 +308,7 @@ def test_construct_49_blocks():
     assert trace.q == 7 and trace.coefficients == (2, 3)
     assert shared_constituent_violations(trace) == 0
     # exhaustive structural cross-check: no two blocks share 2+ sub-blocks
-    for t1, t2 in combinations(trace.constituents, 2):
+    for t1, t2 in combinations(constituent_table(trace.q, trace.coefficients).tolist(), 2):
         assert sum(1 for a, b in zip(t1, t2) if a == b) <= 1
 
 
@@ -362,8 +394,8 @@ def test_no_three_family_example():
 
 
 def test_no_three_family_validation():
-    rs = PackingFamily.of(12, [[3, 4, 5], [5, 6, 7]], Fraction(1, 3))
-    with pytest.raises(ValueError):
+    rs = PackingFamily.of(12, [[3, 4, 5], [9, 10, 11], [5, 6, 7]], Fraction(1, 3))
+    with pytest.raises(ValueError, match="residue blocks 0,2 intersect"):
         no_three_invertible_family(12, 3, rs)  # intersection 1 >= k/3
     rs = PackingFamily.of(12, [[0, 4, 5], [6, 7, 8]], Fraction(1, 3))
     with pytest.raises(ValueError):
@@ -417,6 +449,11 @@ def test_self_checks_raise(monkeypatch, capsys):
         assert main(["pack", "build", "--n", str(n), "--alpha", "1/2"]) == 4
         assert "internal error" in capsys.readouterr().err
         monkeypatch.undo()
+    # blocks sharing two sub-blocks fail the build's self-check, not a "no"
+    monkeypatch.setattr(pack, "shared_constituent_violations", lambda trace: 1)
+    assert main(["pack", "build", "--n", "28", "--alpha", "1/2"]) == 4
+    assert "internal error: 1 pairs of blocks share two or more sub-blocks" in capsys.readouterr().err
+    monkeypatch.undo()
 
     def low_floor(n, cn_size, alpha):
         stats = packing_graph_stats(n, cn_size, alpha)
