@@ -13,8 +13,8 @@ block (l, m) takes sub-block l from part 1, m from part 2 and
 (l + (j-1) m) mod q from part j >= 3.  Distinct index pairs agree in at
 most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
-Each product level is certified from that proof in O(parts + block size);
-base and fallback levels, and family files, are checked pair by pair.
+Each product level is certified from that proof in O(parts + block size)
+and a family file from its blocks' structure; others are checked pair by pair.
 A family is a Collection of its blocks with the alpha it claims; a
 level's record keeps the construction's choices and derives the rest.
 
@@ -34,11 +34,11 @@ import random
 import numpy as np
 
 from .invert import check_triple, decide_invertible
-from .setcore import Collection, Subset, parse_collection, serialize_collection
+from .setcore import Collection, FormatError, Subset, parse_collection, serialize_collection
 
 DEFAULT_GREEDY_BUDGET = 200_000
 DEFAULT_CHECK_LIMIT = 2_000
-ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of verify_packing's counts
+ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of _max_pair's counts
 
 
 @dataclass(frozen=True)
@@ -121,40 +121,37 @@ def packing_graph_stats(n: int, cn_size: int, alpha) -> GraphStats:
 
 
 def verify_packing(f: PackingFamily) -> PackingReport:
-    """Exhaustive pairwise check of a family against its declared alpha.
+    """Exact report of a family against its declared alpha.
 
     Passes iff blocks are distinct, equal-sized, and every pairwise
-    intersection is strictly below alpha * block_size.  The check counts
-    over each block's own points: with by_point[x] the 0/1 row of the
-    blocks holding point x, block i meets the later blocks in the sum of
-    by_point[x] over the points x of i.  The upper triangle is taken in
-    row blocks of about ROW_BLOCK_CELLS cells, so the cost is about
-    count**2 * size / 2 byte additions.  The points and packed rows come
-    from the family's incidence record, which the family keeps for its
-    writer.  Memory peaks at the n x count byte transpose of the 0/1 rows,
-    built one bit plane at a time, with each block's point indices and one
-    row block.  The counts are integers in the smallest unsigned type that
-    holds block_size, so they are exact for every n.
-    worst_pair is the lexicographically first pair reaching the maximum.
-    """
+    intersection is strictly below alpha * block_size; worst_pair is the
+    lexicographically first pair reaching the maximum.  A product family
+    gets its report from _structure_report in about O(count * size), any
+    other from _max_pair over the points of its incidence record."""
+    certified = _structure_report(f)
+    if certified is not None:
+        return certified
     size = f.block_size
     threshold = f.declared_alpha * size
     count = len(f.blocks)
     distinct = len({b.bits for b in f.blocks}) == count
     if count < 2:
         return PackingReport(distinct, 0, 0, threshold, size, distinct)
+    max_int, worst = _max_pair(f.incidence.elements.reshape(count, size), f.n)
+    pairs = count * (count - 1) // 2
+    ok = distinct and Fraction(max_int) < threshold
+    return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
 
-    points = f.incidence.elements.reshape(count, size)  # row i: block i's points
-    rows = f.incidence.rows
-    # by_point[x, j] = 1 iff block j holds point x: the packed bytes are
-    # transposed, then bit k of byte b goes to row 8b + k, one bit plane
-    # at a time from the copy shifted in place, so no n x count temporary
-    columns = rows.T.copy()  # always a writable C-order copy, shifted below
-    by_point = np.empty((8 * rows.shape[1], count), np.uint8)
-    for k in range(8):
-        np.bitwise_and(columns, 1, out=by_point[k::8])
-        columns >>= 1
-    by_point = by_point[: f.n]
+
+def _max_pair(points: np.ndarray, n: int) -> tuple[int, tuple[int, int]]:
+    """Largest intersection of two of count >= 2 blocks on [0, n), and the
+    first pair reaching it; row i of points holds block i's points.  Block
+    i meets the later blocks in the sum of the 0/1 rows by_point[x] of its
+    points x: count**2 * size / 2 byte additions, exact in the smallest
+    unsigned type that holds size, in row blocks of ROW_BLOCK_CELLS cells."""
+    count, size = points.shape
+    by_point = np.zeros((n, count), np.uint8)
+    by_point[points, np.arange(count)[:, None]] = 1
     acc_type = np.min_scalar_type(size)  # no count exceeds size
     max_int, worst = -1, None
     start = 0
@@ -176,9 +173,52 @@ def verify_packing(f: PackingFamily) -> PackingReport:
             max_int = int(acc.flat[flat])
             worst = (start + flat // cols, start + 1 + flat % cols)
         start = stop
-    pairs = count * (count - 1) // 2
-    ok = distinct and Fraction(max_int) < threshold
-    return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
+    return max_int, worst
+
+
+def _structure_report(f: PackingFamily) -> PackingReport | None:
+    """The report of a product family, read off its record, or None.  Each
+    block holds s = size/parts points in each of parts = 2/alpha intervals,
+    a sub-block, shifted to 0 and indexed per interval.  If no two blocks'
+    index tuples agree twice, they are distinct and any two meet in at most
+    U = s + (parts-1)*sub_max points, sub_max over all intervals' sub-blocks."""
+    alpha, size, count = f.declared_alpha, f.block_size, len(f.blocks)
+    parts = 2 * alpha.denominator
+    if alpha.numerator != 1 or not size or count < 2 or f.n % parts or size % parts:
+        return None
+    p, s = f.n // parts, size // parts
+    points = f.incidence.elements.reshape(count, size)
+    starts = np.arange(parts) * p
+    width = p.bit_length()
+    per = (63 - (count * parts).bit_length()) // width  # points per int64 key beside a class
+    # a block's points are sorted: numbers j*s .. (j+1)*s - 1 lie in interval j
+    if per < 1 or (points[:, ::s] < starts).any() or (points[:, s - 1::s] >= starts + p).any():
+        return None
+    # each sub-block's class, first its interval, refined by one point at a
+    # time and renumbered in order by an exact sort before its key overflows
+    index = np.arange(count * parts) % parts
+    for t in range(s):
+        index = index << width | (points[:, t::s] - starts).ravel()
+        if t % per == per - 1 or t == s - 1:  # at: the first sub-block of each class
+            _, at, index = np.unique(index, return_index=True, return_inverse=True)
+    index = index.reshape(count, parts)
+    index -= index.min(axis=0)  # each interval's sub-blocks numbered from 0
+    # a product over q sub-blocks per interval has count = q**2 blocks:
+    # more make each bincount outgrow the blocks it counts
+    if (int(index.max()) + 1) ** 2 > parts * count or _shared_pairs(index):
+        return None
+    sub_points = np.unique(points.reshape(-1, s)[at] - starts[at % parts, None], axis=0)  # their union
+    bound = s + (parts - 1) * _max_pair(sub_points, p)[0]
+    return _witness_report(f, bound) if bound < alpha * size else None
+
+
+def _witness_report(f: PackingFamily, bound: int) -> PackingReport | None:
+    """The exact report of distinct blocks meeting in at most bound < alpha *
+    block_size points, if blocks 0 and 1, the first pair, reach it."""
+    if (f.blocks[0].bits & f.blocks[1].bits).bit_count() != bound:
+        return None
+    size = f.block_size
+    return PackingReport(True, comb(len(f.blocks), 2), bound, f.declared_alpha * size, size, True, (0, 1))
 
 
 @dataclass(frozen=True)
@@ -225,12 +265,10 @@ def _certified_report(family: PackingFamily, sub: LevelTrace, q: int, coeffs) ->
     """The report verify_packing gives a product level, from its proof:
     blocks from distinct index pairs agree in at most one coordinate, so
     they are distinct and meet in at most U = sub_block + (parts-1)*sub_max
-    points.  When the witness blocks 0 and 1 (coordinates all 0, and 0, 1,
-    ..., parts-1) meet in U, U is the maximum and (0, 1) the first pair
-    reaching it; otherwise the level is checked exhaustively."""
+    points.  Blocks 0 and 1 (coordinates all 0, and 0, 1, ..., parts-1)
+    are the witness: _witness_report gives the report, or else verify_packing."""
     parts = len(coeffs) + 2
-    size = family.block_size
-    threshold = family.declared_alpha * size
+    threshold = family.declared_alpha * family.block_size
     bound = sub.report.block_size + (parts - 1) * sub.report.max_intersection
     for failed, why in (
         (not sub.report.ok, "the sub-level report is not ok"),
@@ -241,10 +279,7 @@ def _certified_report(family: PackingFamily, sub: LevelTrace, q: int, coeffs) ->
     ):
         if failed:
             raise RuntimeError(f"constructed family fails its certificate: {why}")
-    if (family.blocks[0].bits & family.blocks[1].bits).bit_count() != bound:
-        return verify_packing(family)
-    count = len(family.blocks)
-    return PackingReport(True, count * (count - 1) // 2, bound, threshold, size, True, (0, 1))
+    return _witness_report(family, bound) or verify_packing(family)
 
 
 def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
@@ -302,20 +337,23 @@ def construct_packing(n: int, alpha) -> PackingFamily:
 
 def shared_constituent_violations(trace: LevelTrace) -> int:
     """Pairs of blocks (over all levels) sharing two or more constituent
-    sub-blocks.  Zero for every family this module constructs: distinct
-    index pairs solve l + a m = l' + a m' for at most one coefficient.
-    Each coordinate pair is one bincount of two columns of the level's
-    constituent table, whose indices lie in [0, q)."""
+    sub-blocks, once per pair of shared coordinates.  Zero for every family
+    built here: distinct index pairs solve l + a m = l' + a m' for <= 1 a."""
     violations = 0
     node: LevelTrace | None = trace
     while node is not None:
         if node.q is not None:
-            t = constituent_table(node.q, node.coefficients)
-            for c1, c2 in combinations(range(t.shape[1]), 2):
-                counts = np.bincount(t[:, c1] * node.q + t[:, c2])
-                violations += int((counts * (counts - 1) // 2).sum())
+            violations += _shared_pairs(constituent_table(node.q, node.coefficients))
         node = node.sub
     return violations
+
+
+def _shared_pairs(table: np.ndarray) -> int:
+    """Pairs of rows of a table of ints in [0, width) that agree in two
+    columns, summed over the column pairs: one bincount per column pair."""
+    width = int(table.max()) + 1
+    counts = (np.bincount(a * width + b) for a, b in combinations(table.T.copy(), 2))  # contiguous columns
+    return sum(int((c * (c - 1) // 2).sum()) for c in counts)
 
 
 def greedy_independent_set(n: int, cn_size: int, alpha, budget: int = DEFAULT_GREEDY_BUDGET) -> PackingFamily:
@@ -420,7 +458,10 @@ def parse_family(text: str, alpha=None) -> PackingFamily:
             if line.startswith("# packing"):
                 for token in line.split():
                     if token.startswith("alpha="):
-                        declared = Fraction(token[len("alpha="):])
+                        try:
+                            declared = Fraction(token[len("alpha="):])
+                        except (ValueError, ZeroDivisionError):
+                            raise FormatError(f"malformed {token} in the family header") from None
     if declared is None:
         raise ValueError("no alpha given and none found in the file header")
     col = parse_collection(text)

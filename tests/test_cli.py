@@ -233,6 +233,41 @@ def test_pack_verify_accepts_huge_ground_size(tmp_path, capsys):
     assert "pass: 1 pairs checked, max intersection 0 (blocks 0,1)" in capsys.readouterr().out
 
 
+def test_pack_verify_malformed_header_alpha_exits_3(tmp_path, capsys):
+    # the fault is in the file: exit 3, not a traceback (1/0) or a usage error (x)
+    f = tmp_path / "fam.txt"
+    for alpha in ("1/0", "x", ""):
+        f.write_text(f"# packing n=4 alpha={alpha} c=1/4\n4\n0\n1\n")
+        assert main(["pack", "verify", "--input", str(f)]) == 3, alpha
+        assert f"input error: malformed alpha={alpha} in the family header" in capsys.readouterr().err
+        with pytest.raises(setcore.FormatError):
+            pack.parse_family(f.read_text())
+        # an --alpha given on the command line takes the header's place
+        assert main(["pack", "verify", "--input", str(f), "--alpha", "1/2"]) == 0
+        capsys.readouterr()
+
+
+def test_pack_verify_reads_the_structure_off_the_file(monkeypatch, tmp_path, capsys):
+    # (400, 1/2): the pairwise check runs on the 113 sub-blocks alone, and
+    # the file's one incidence record serves the whole certificate
+    out = tmp_path / "fam.txt"
+    assert main(["pack", "build", "--n", "400", "--alpha", "1/2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    checked, built = [], []
+    real = pack._max_pair
+    monkeypatch.setattr(pack, "_max_pair", lambda points, n: checked.append(len(points)) or real(points, n))
+
+    class Counted(setcore.Incidence):
+        def __init__(self, n, members):
+            built.append(len(members))
+            super().__init__(n, members)
+
+    monkeypatch.setattr(setcore, "Incidence", Counted)
+    code, text = run(capsys, "pack", "verify", "--input", str(out))
+    assert code == 0 and (checked, built) == ([113], [12769])
+    assert "pass: 81517296 pairs checked, max intersection 11 (blocks 0,1), threshold < 16" in text
+
+
 def test_pack_no3(tmp_path, capsys):
     out_file = tmp_path / "no3.txt"
     code, out = run(

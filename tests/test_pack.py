@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setpack import (
     Collection,
@@ -179,8 +181,162 @@ def test_sweep_reports_match_oracles():
             node = node.sub
 
 
+# perfbench's pack-grid instances
+PACK_GRID = [(400, "1/2"), (3000, "1/16"), (2000, "1/16"), (1000, "1/8"),
+             (28, "1/2"), (2000, "1/8"), (500, "1/4"), (300, "1/3")]
+
+
+def exhaustive_report(fam):
+    """verify_packing with the structure certificate switched off: the
+    pairwise check that test_verify_packing_matches_dense_oracle pins."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pack, "_structure_report", lambda f: None)
+        return verify_packing(fam)
+
+
+@pytest.fixture(scope="module")
+def product_files():
+    """Every SWEEP and pack-grid family, written and read back, with its
+    oracle report: naive_verify_packing up to 4,000 blocks, and above that
+    the exhaustive check (the oracle's Gram matrix of the 12,769-block
+    family alone would take 650 MB)."""
+    cases = []
+    for n, alpha in sorted({*SWEEP, *((n, Fraction(a)) for n, a in PACK_GRID)}):
+        fam = parse_family(serialize_family(construct_packing(n, alpha)))
+        oracle = naive_verify_packing(fam) if len(fam.blocks) <= 4_000 else exhaustive_report(fam)
+        cases.append((n, alpha, fam, oracle))
+    return cases
+
+
+def test_verify_packing_reads_product_files_exactly(product_files):
+    certified = 0
+    for n, alpha, fam, oracle in product_files:
+        assert verify_packing(fam) == oracle, (n, alpha)
+        certified += pack._structure_report(fam) is not None
+    assert certified == 17  # all but the base and fallback families
+
+
+def tampered(fam, rng):
+    """(what, family) pairs, each one edit away from a product family."""
+    n, blocks = fam.n, [b.elements() for b in fam.blocks]
+    shuffled = blocks[:]
+    rng.shuffle(shuffled)
+    relabel = rng.sample(range(n), n)
+    moved = [b[:] for b in blocks]
+    i = rng.randrange(len(moved))
+    moved[i][rng.randrange(len(moved[i]))] = rng.choice(sorted(set(range(n)) - set(moved[i])))
+    duplicated = blocks[:]
+    duplicated.insert(rng.randrange(len(blocks) + 1), rng.choice(blocks))
+    foreign = blocks[:]
+    foreign[rng.randrange(len(blocks))] = rng.sample(range(n), fam.block_size)
+    for what, edited in (("shuffled", shuffled), ("relabelled", [[relabel[x] for x in b] for b in blocks]),
+                         ("moved", moved), ("duplicated", duplicated), ("foreign", foreign)):
+        yield what, PackingFamily.of(n, edited, fam.declared_alpha)
+
+
+def test_verify_packing_on_tampered_files_matches_oracle(product_files):
+    rng = random.Random(16)
+    small = [fam for _, _, fam, _ in product_files if 2 < len(fam.blocks) <= 1_000]
+    certified = other_witness = 0
+    for fam in small:
+        for _ in range(2):
+            for what, edited in tampered(fam, rng):
+                edited = parse_family(serialize_family(edited))
+                report = verify_packing(edited)
+                assert report == naive_verify_packing(edited), (fam.n, what)
+                certified += pack._structure_report(edited) is not None
+                other_witness += what == "shuffled" and report.worst_pair != (0, 1)
+    # some shuffles keep two blocks that reach U first, others move the witness
+    assert len(small) >= 8 and certified > 0 and other_witness > 0
+
+
+def test_verify_packing_under_other_alphas_matches_oracle(product_files):
+    # --alpha overrides the header: other 1/k change the intervals, and
+    # alphas not of the form 1/k never take the structure path
+    for n, alpha, fam, _ in product_files:
+        if len(fam.blocks) > 1_000:
+            continue
+        text = serialize_family(fam)
+        for other in ("1", "1/2", "1/3", "1/4", "1/8", "1/16", "3/4", "2/5", "2"):
+            over = parse_family(text, Fraction(other))
+            assert verify_packing(over) == naive_verify_packing(over), (n, alpha, other)
+
+
+def test_verify_packing_with_fewer_than_two_blocks():
+    for text in ("# packing n=8 alpha=1/2 c=0/1\n8\n", "# packing n=8 alpha=1/2 c=1/2\n8\n0 2 4 6\n",
+                 "# packing n=0 alpha=1/2 c=0/1\n0\n"):
+        fam = parse_family(text)
+        assert verify_packing(fam) == naive_verify_packing(fam), text
+
+
+@st.composite
+def product_like_families(draw):
+    """Blocks that take sub-block table[b][j] of interval j's sub-family.
+    The table is a Reed-Solomon table over a small q, with distinct
+    nonzero coefficients or any, left as it is, shuffled, thinned or with
+    rows made to agree twice.  The intervals share one sub-family or each
+    have their own, drawn as disjoint chunks of [0, p) or as any s-subsets.
+    Most draws make a product, so the certificate has work to do: the
+    smallest value of each draw, which hypothesis favours, makes one."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    parts, q = 2 * k, draw(st.sampled_from([5, 3, 7, 2, 1]))
+    s = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) < 3:  # disjoint chunks of a shuffled [0, p)
+        p = s * (q + 2) + draw(st.integers(0, 3))
+        sub_family = st.permutations(range(p)).map(lambda o: [o[i:i + s] for i in range(0, s * (q + 2), s)])
+    else:
+        p = draw(st.integers(s, 3 * (q + 2)))
+        sub_family = st.lists(st.lists(st.sampled_from(range(p)), min_size=s, max_size=s, unique=True),
+                              min_size=q, max_size=q + 2)
+    subs = [draw(sub_family)] * parts if draw(st.booleans()) else [draw(sub_family) for _ in range(parts)]
+    if draw(st.integers(0, 3)) < 3 and q > parts - 2:
+        coeffs = draw(st.permutations(range(1, q)))[: parts - 2]  # no two rows agree twice
+    else:
+        coeffs = [draw(st.integers(0, q - 1)) for _ in range(parts - 2)]
+    table = [[l, m] + [(l + a * m) % q for a in coeffs] for l in range(q) for m in range(q)]
+    edit = [None] * 5 + ["shuffle", "thin", "collide"]
+    edit = edit[draw(st.integers(0, len(edit) - 1))]
+    if edit == "shuffle":
+        table = draw(st.permutations(table))
+    elif edit == "thin":
+        table = table[: draw(st.integers(0, len(table)))]
+    elif edit == "collide" and len(table) > 1:
+        i, j = draw(st.integers(0, len(table) - 1)), draw(st.integers(0, len(table) - 1))
+        c1, c2 = draw(st.sampled_from(list(combinations(range(parts), 2))))
+        table[j] = table[j][:]
+        table[j][c1], table[j][c2] = table[i][c1], table[i][c2]
+    blocks = [[j * p + x for j, idx in enumerate(row) for x in subs[j][idx]] for row in table]
+    alpha = [Fraction(1, k)] * 3 + [Fraction(1, 2 * k), Fraction(2, 3)]
+    alpha = alpha[draw(st.integers(0, len(alpha) - 1))]
+    return PackingFamily.of(parts * p, blocks, alpha)
+
+
+@settings.get_profile("setpack")
+@given(product_like_families())
+def test_verify_packing_on_product_like_families_matches_oracle(fam):
+    assert verify_packing(fam) == naive_verify_packing(fam)
+
+
+def test_structure_path_takes_a_sub_family_per_interval():
+    # each interval orders its own 5 of 7 disjoint pairs on 14 points: the
+    # union of the intervals' sub-blocks bounds every pair (U = 2), so the
+    # family is certified although no two intervals index alike
+    rng = random.Random(5)
+    order = rng.sample(range(14), 14)
+    pool = [sorted(order[2 * i:2 * i + 2]) for i in range(7)]
+    subs = [rng.sample(pool, 5) for _ in range(4)]
+    blocks = [[j * 14 + x for j, idx in enumerate(row) for x in subs[j][idx]]
+              for row in constituent_table(5, (2, 3)).tolist()]
+    fam = PackingFamily.of(56, blocks, Fraction(1, 2))
+    report = pack._structure_report(fam)
+    assert report is not None and report == naive_verify_packing(fam)
+    assert (report.max_intersection, report.pairs_checked) == (2, 300)
+
+
 def test_certificate_matches_exhaustive_check():
     # every level of every family of at most 4,000 blocks up to n = 300
+    # against the exhaustive check, and each family's own report (once per
+    # ground size used) against the oracle
     def count(n, k):  # the construction's block count, without its blocks
         if n <= 4 * k:
             return n
@@ -188,20 +344,24 @@ def test_certificate_matches_exhaustive_check():
         q = pack._largest_prime_at_most(sub)
         return sub if q is None or q <= 2 * k else q * q
 
-    oracle = {}
+    oracle, seen = {}, set()
     for k in (1, 2, 3, 4, 8):
         for n in range(2, 301):
             if count(n, k) > 4_000:
                 continue
             fam, trace = construct_packing_traced(n, Fraction(1, k))
             assert len(fam.blocks) == count(n, k)
+            if (fam.n, k) not in seen:  # verify_packing, by structure where it holds
+                seen.add((fam.n, k))
+                assert verify_packing(fam) == naive_verify_packing(fam), (n, k)
             node = trace
             while node is not None:
                 key = (node.requested_n, node.alpha)
                 if key not in oracle:
-                    oracle[key] = verify_packing(construct_packing(*key))
+                    oracle[key] = exhaustive_report(construct_packing(*key))
                 assert node.report == oracle[key], (n, k, key)
                 node = node.sub
+    assert len(seen) > 100
 
 
 def test_certificate_falls_back_when_the_witness_falls_short(monkeypatch):
@@ -449,10 +609,14 @@ def test_self_checks_raise(monkeypatch, capsys):
         assert main(["pack", "build", "--n", str(n), "--alpha", "1/2"]) == 4
         assert "internal error" in capsys.readouterr().err
         monkeypatch.undo()
-    # blocks sharing two sub-blocks fail the build's self-check, not a "no"
-    monkeypatch.setattr(pack, "shared_constituent_violations", lambda trace: 1)
+    # a repeated coefficient, which would make blocks share two sub-blocks,
+    # fails the build's certificate, not a "no"
+    certified = pack._certified_report
+    monkeypatch.setattr(pack, "_certified_report",
+                        lambda family, sub, q, coeffs: certified(family, sub, q, coeffs[:1] * len(coeffs)))
     assert main(["pack", "build", "--n", "28", "--alpha", "1/2"]) == 4
-    assert "internal error: 1 pairs of blocks share two or more sub-blocks" in capsys.readouterr().err
+    assert "internal error: constructed family fails its certificate: coefficients (2, 2) are not distinct" \
+        in capsys.readouterr().err
     monkeypatch.undo()
 
     def low_floor(n, cn_size, alpha):
