@@ -175,7 +175,7 @@ def _cmd_pack_build(args, out: Outcome):
     # leave no two blocks sharing two sub-blocks, and other levels have none
     report = trace.report
     out.say(
-        f"built {len(family.blocks)} blocks of size {family.block_size} "
+        f"built {family.m} blocks of size {family.block_size} "
         f"on n={family.n} (requested {args.n}), c = {frac_str(family.achieved_c)}"
     )
     out.say(f"verification: {report.summary()}")
@@ -185,7 +185,7 @@ def _cmd_pack_build(args, out: Outcome):
         "n_used": family.n,
         "alpha": frac_str(family.declared_alpha),
         "achieved_c": frac_str(family.achieved_c),
-        "blocks": len(family.blocks),
+        "blocks": family.m,
         "block_size": family.block_size,
         "max_intersection": report.max_intersection,
         "verified": report.ok,
@@ -199,12 +199,12 @@ def _cmd_pack_build(args, out: Outcome):
 def _cmd_pack_verify(args, out: Outcome):
     family = pack.parse_family(_read(args.input), args.alpha)
     report = pack.verify_packing(family)
-    out.say(f"{len(family.blocks)} blocks of size {report.block_size} on n={family.n}")
+    out.say(f"{family.m} blocks of size {report.block_size} on n={family.n}")
     out.say(f"verification: {report.summary()}")
     if not report.distinct:
         out.say("failure: duplicate blocks")
     out.doc = {
-        "blocks": len(family.blocks),
+        "blocks": family.m,
         "alpha": frac_str(family.declared_alpha),
         "max_intersection": report.max_intersection,
         "threshold": frac_str(report.threshold),

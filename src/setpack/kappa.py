@@ -75,7 +75,7 @@ class SizeProfile:
     @classmethod
     def from_collection(cls, c: Collection) -> "SizeProfile":
         """Profile of c; empty and over-half-size sets are dropped."""
-        sizes = np.bincount(c.incidence.sets, minlength=len(c.sets))
+        sizes = np.diff(c.incidence.indptr)
         return cls(c.n, tuple(np.bincount(sizes, minlength=c.n // 2 + 1)[1 : c.n // 2 + 1].tolist()))
 
     @classmethod
@@ -86,7 +86,7 @@ class SizeProfile:
 
 def oversized_count(c: Collection) -> int:
     """Sets with more than floor(n/2) elements; never invertible (pigeonhole)."""
-    return sum(1 for s in c.sets if s.cardinality() > c.n // 2)
+    return int(np.count_nonzero(np.diff(c.incidence.indptr) > c.n // 2))
 
 
 def kappa_lower_bound(p: SizeProfile) -> Fraction:
@@ -246,13 +246,13 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     raises ValueError.
     """
     n = c.n
-    m = len(c.sets)
+    m = c.m
     # m * 2^width < 2^62 bounds every limb sum; width >= 2 keeps the carries below 2^63
     width = 62 - m.bit_length()
     if width < 2:
         raise ValueError(f"{m} sets leave no int64 limb width for exact scoring")
     inc = c.incidence
-    sizes = np.bincount(inc.sets, minlength=m)
+    sizes = np.diff(inc.indptr)
     classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
     sig = [sigma(f) for f in range(n + 1)]
 

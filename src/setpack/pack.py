@@ -15,8 +15,10 @@ most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
 Each product level is certified from that proof in O(parts + block size)
 and a family file from its blocks' structure; others are checked pair by pair.
-A family is a Collection of its blocks with the alpha it claims; a
-level's record keeps the construction's choices and derives the rest.
+A family is a Collection of its blocks, held as their incidence record,
+with the alpha it claims.  A product level's record is one gather from
+the sub-family's point matrix, so no block is ever a Python int; the
+level's LevelTrace keeps the construction's choices and derives the rest.
 
 This module also derives the "no three invertible" collections: gluing a
 common core K onto blocks with small pairwise intersections produces
@@ -28,29 +30,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
-from operator import getitem
 import random
+import re
 
 import numpy as np
 
 from .invert import check_triple, decide_invertible
-from .setcore import Collection, FormatError, Subset, parse_collection, serialize_collection
+from .setcore import Collection, FormatError, Incidence, Subset, parse_collection, serialize_collection
 
 DEFAULT_GREEDY_BUDGET = 200_000
 DEFAULT_CHECK_LIMIT = 2_000
 ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of _max_pair's counts
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
 
 
-@dataclass(frozen=True)
 class PackingFamily(Collection):
-    """Equal-size blocks (the sets) plus the alpha they are claimed to satisfy."""
+    """Equal-size blocks (the sets, as Subsets or a record) plus the alpha
+    they are claimed to satisfy."""
 
-    declared_alpha: Fraction
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len({b.cardinality() for b in self.sets}) > 1:
+    def __init__(self, n: int, blocks, declared_alpha: Fraction):
+        super().__init__(n, blocks)
+        self.__dict__["declared_alpha"] = declared_alpha
+        if np.unique(np.diff(self.incidence.indptr)).size > 1:
             raise ValueError("blocks must have equal cardinality")
+
+    def _key(self) -> tuple:
+        return super()._key() + (self.declared_alpha,)
+
+    def __repr__(self):
+        return f"{super().__repr__()[:-1]}, declared_alpha={self.declared_alpha!r})"
 
     @classmethod
     def of(cls, n: int, blocks, alpha) -> "PackingFamily":
@@ -63,7 +71,7 @@ class PackingFamily(Collection):
 
     @property
     def block_size(self) -> int:
-        return self.blocks[0].cardinality() if self.blocks else 0
+        return int(self.incidence.indptr[1]) if self.m else 0
 
     @property
     def achieved_c(self) -> Fraction:
@@ -133,11 +141,12 @@ def verify_packing(f: PackingFamily) -> PackingReport:
         return certified
     size = f.block_size
     threshold = f.declared_alpha * size
-    count = len(f.blocks)
-    distinct = len({b.bits for b in f.blocks}) == count
+    count = f.m
     if count < 2:
-        return PackingReport(distinct, 0, 0, threshold, size, distinct)
-    max_int, worst = _max_pair(f.incidence.elements.reshape(count, size), f.n)
+        return PackingReport(True, 0, 0, threshold, size, True)
+    points = f.incidence.elements.reshape(count, size)
+    distinct = len(np.unique(points, axis=0)) == count
+    max_int, worst = _max_pair(points, f.n)
     pairs = count * (count - 1) // 2
     ok = distinct and Fraction(max_int) < threshold
     return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
@@ -182,7 +191,7 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
     a sub-block, shifted to 0 and indexed per interval.  If no two blocks'
     index tuples agree twice, they are distinct and any two meet in at most
     U = s + (parts-1)*sub_max points, sub_max over all intervals' sub-blocks."""
-    alpha, size, count = f.declared_alpha, f.block_size, len(f.blocks)
+    alpha, size, count = f.declared_alpha, f.block_size, f.m
     parts = 2 * alpha.denominator
     if alpha.numerator != 1 or not size or count < 2 or f.n % parts or size % parts:
         return None
@@ -215,10 +224,11 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
 def _witness_report(f: PackingFamily, bound: int) -> PackingReport | None:
     """The exact report of distinct blocks meeting in at most bound < alpha *
     block_size points, if blocks 0 and 1, the first pair, reach it."""
-    if (f.blocks[0].bits & f.blocks[1].bits).bit_count() != bound:
-        return None
     size = f.block_size
-    return PackingReport(True, comb(len(f.blocks), 2), bound, f.declared_alpha * size, size, True, (0, 1))
+    first, second = f.incidence.elements[: 2 * size].reshape(2, size)
+    if np.intersect1d(first, second, assume_unique=True).size != bound:
+        return None
+    return PackingReport(True, comb(f.m, 2), bound, f.declared_alpha * size, size, True, (0, 1))
 
 
 @dataclass(frozen=True)
@@ -283,9 +293,11 @@ def _certified_report(family: PackingFamily, sub: LevelTrace, q: int, coeffs) ->
 
 
 def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
+    """One level: the base's singletons, or each product block as one gather
+    of sub-blocks from the sub-family's point matrix, shifted into parts."""
     alpha = Fraction(1, k)
     if n * alpha <= 4:  # base: n singleton blocks
-        family = PackingFamily(n, tuple(Subset(n, 1 << x) for x in range(n)), alpha)
+        family = PackingFamily(n, Incidence(n, np.arange(n + 1), np.arange(n)), alpha)
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("singleton base family fails its own check")
@@ -294,27 +306,27 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     parts = 2 * k
     sub_family, sub_trace = _construct(n // parts, 2 * k)
     p = sub_family.n
-    ordered = sorted(sub_family.blocks, key=lambda b: tuple(b.elements()))
+    sub = sub_family.incidence.elements.reshape(sub_family.m, -1)
+    ordered = sub[np.lexsort(sub.T[::-1])]  # the sub-blocks in lexicographic order
     q = _largest_prime_at_most(len(ordered))
     if q is None or q <= parts:
         # no usable prime: stop the recursion here and hand back the
         # sub-family, which satisfies the stricter alpha/2 and hence alpha
-        family = PackingFamily(p, sub_family.blocks, alpha)
+        family = PackingFamily(p, sub_family.incidence, alpha)
         report = verify_packing(family)
         if not report.ok:
             raise RuntimeError("fallback family fails its own check")
-        return family, LevelTrace(n, p, alpha, None, (), len(sub_family.blocks), report, sub_trace)
+        return family, LevelTrace(n, p, alpha, None, (), sub_family.m, report, sub_trace)
 
     coeffs = tuple(j - 1 for j in range(3, parts + 1))
     used_n = parts * p
-    placed = [[b.bits << (part * p) for b in ordered[:q]] for part in range(parts)]  # [part][index]
-    table = constituent_table(q, coeffs).tolist()
-    blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in table)
-    family = PackingFamily(used_n, blocks, alpha)
+    points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
+    points += (np.arange(parts) * p)[:, None]
+    family = PackingFamily(used_n, Incidence(used_n, np.arange(q * q + 1) * points[0].size, points.reshape(-1)), alpha)
     report = _certified_report(family, sub_trace, q, coeffs)
     if not report.ok:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
-    return family, LevelTrace(n, used_n, alpha, q, coeffs, len(blocks), report, sub_trace)
+    return family, LevelTrace(n, used_n, alpha, q, coeffs, q * q, report, sub_trace)
 
 
 def construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
@@ -451,18 +463,23 @@ def serialize_family(f: PackingFamily) -> str:
 
 
 def parse_family(text: str, alpha=None) -> PackingFamily:
-    """Read a family file; alpha comes from the argument or the header comment."""
+    """Read a family file; alpha comes from the argument or the header
+    comment, and must be positive."""
     declared = Fraction(alpha) if alpha is not None else None
+    if declared is not None and declared <= 0:
+        raise ValueError(f"alpha must be positive, got {declared}")
     if declared is None:
-        for line in text.splitlines():
-            if line.startswith("# packing"):
-                for token in line.split():
+        for line in re.finditer(f"# packing[^{_BREAKS}]*", text):
+            if not line.start() or text[line.start() - 1] in _BREAKS:  # the line starts with it
+                for token in line.group().split():
                     if token.startswith("alpha="):
                         try:
                             declared = Fraction(token[len("alpha="):])
                         except (ValueError, ZeroDivisionError):
                             raise FormatError(f"malformed {token} in the family header") from None
+                        if declared <= 0:
+                            raise FormatError(f"nonpositive {token} in the family header")
     if declared is None:
         raise ValueError("no alpha given and none found in the file header")
     col = parse_collection(text)
-    return PackingFamily(col.n, col.sets, declared)
+    return PackingFamily(col.n, col.incidence, declared)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
-from .setcore import Collection, FormatError, Permutation, Subset, bit_positions, read_decimals, scan_tokens
+from .setcore import Collection, FormatError, Incidence, Permutation, bit_positions, read_decimals, scan_tokens
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
 # under 10 s: 5.3 s at n = 18, 19.5 s at n = 19 (2-core VM).
@@ -225,8 +225,10 @@ def direction_collection(m: CubeEdgeSet) -> Collection:
         ends = bit_positions(bits | bits << (1 << d))
         present[ends] |= 1 << d
         degree[ends] += 1
-    heavy = present[2 * degree >= n].tolist()
-    return Collection(n, tuple(Subset(n, full - p) for p in heavy))
+    missing = full - present[2 * degree >= n]
+    member = (missing[:, None] >> np.arange(n)) & 1 == 1  # [heavy vertex][direction]
+    indptr = np.append(0, np.cumsum(np.count_nonzero(member, axis=1)))
+    return Collection(n, Incidence(n, indptr, np.nonzero(member)[1]))
 
 
 def inversion_assisted_blocking(

@@ -4,8 +4,10 @@ Elements are 0-based integers in [0, n).  Subsets are stored as Python
 integers used as bit vectors (bit x set <=> element x present), so the
 ground-set size is bounded only by memory, never by a machine word.
 All types are immutable after construction; every operation is a pure
-function, safe for concurrent use.  A collection builds its membership
-record (``Incidence``) once, when a bulk consumer first asks for it.
+function, safe for concurrent use.  A collection is its membership
+record (``Incidence``), which every bulk consumer reads; the parser
+writes it directly, and a collection made from Subsets builds it once,
+when first asked for.
 """
 from __future__ import annotations
 
@@ -66,61 +68,92 @@ class Subset:
 
 
 class Incidence:
-    """The membership pairs of a collection in CSR order (Gustavson 1978):
-    set ``sets[k]`` holds element ``elements[k]``, both int64, sorted by
-    set and then by element, read from one buffer of the sets' own bytes.
-    ``rows`` packs each set into whole 64-bit words, little-endian, on
-    first use."""
+    """A collection's membership record in CSR form (Gustavson 1978): set i
+    holds ``elements[indptr[i]:indptr[i + 1]]``, int64 and increasing.
+    Derived on first use: ``sets``, the set of each element entry, and
+    ``rows``, each set packed into whole 64-bit words, little-endian."""
 
-    def __init__(self, n: int, members: Sequence[Subset]):
-        self.n, self._members = n, members
+    def __init__(self, n: int, indptr: np.ndarray, elements: np.ndarray):
+        self.n, self.indptr, self.elements = n, indptr, elements
+
+    @classmethod
+    def of(cls, n: int, members: Sequence[Subset]) -> "Incidence":
+        """The record of ``members``, read from one buffer of their bytes."""
         widths = np.array([(s.bits.bit_length() + 7) // 8 for s in members], np.int64)
         buf = b"".join(s.bits.to_bytes(w, "little") for s, w in zip(members, widths.tolist()))
         raw = np.frombuffer(buf, np.uint8)
         nonzero = np.flatnonzero(raw)  # small sets leave most bytes 0: unpack the others
         bits = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
-        at = nonzero[bits >> 3]  # updated in place: the pair arrays dominate memory
+        at = nonzero[bits >> 3]  # updated in place: the element array dominates memory
         at <<= 3
         at |= bits & 7
         del nonzero, bits
         ends = 8 * np.cumsum(widths)
-        self.sets = np.searchsorted(ends, at, side="right")
-        at -= (ends - 8 * widths)[self.sets]
-        self.elements = at
+        indptr = np.append(0, np.searchsorted(at, ends))  # at is increasing
+        at -= np.repeat(ends - 8 * widths, np.diff(indptr))
+        return cls(n, indptr, at)
+
+    @cached_property
+    def sets(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     @cached_property
     def rows(self) -> np.ndarray:
         width = 8 * ((self.n + 63) // 64)
-        buf = b"".join(s.bits.to_bytes(width, "little") for s in self._members)
-        return np.frombuffer(buf, np.uint8).reshape(len(self._members), width)
+        rows = np.zeros((len(self.indptr) - 1, width), np.uint8)
+        at, bit = self.sets * width + (self.elements >> 3), np.left_shift(1, self.elements & 7)
+        np.bitwise_or.at(rows.reshape(-1), at, bit.astype(np.uint8))
+        return rows
 
 
-@dataclass(frozen=True)
 class Collection:
-    """A ground-set size n together with an ordered list of subsets."""
+    """A ground-set size n together with an ordered list of subsets, held
+    as their ``Incidence`` record.  ``Collection(n, sets)`` takes Subsets
+    or a record; the Subsets are built from the record, or the record from
+    the Subsets, when first asked for.  Equality compares n and the sets."""
 
-    n: int
-    sets: tuple[Subset, ...]
+    def __init__(self, n: int, sets: Iterable[Subset] | Incidence):
+        kind, sets = ("record", sets) if isinstance(sets, Incidence) else ("subset", tuple(sets))
+        for s in [sets] if kind == "record" else sets:
+            if s.n != n:
+                raise ValueError(f"{kind} over ground set of size {s.n} in a collection with n={n}")
+        self.__dict__.update(n=n, **{"incidence" if kind == "record" else "sets": sets})
 
-    def __post_init__(self):
-        for s in self.sets:
-            if s.n != self.n:
-                raise ValueError(
-                    f"subset over ground set of size {s.n} in a collection with n={self.n}"
-                )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Collection":
         return cls(n, tuple(Subset.of(n, s) for s in sets))
 
-    @property
-    def m(self) -> int:
-        return len(self.sets)
-
     @cached_property
     def incidence(self) -> Incidence:
         """What every bulk consumer reads; built once, freed with c."""
-        return Incidence(self.n, self.sets)
+        return Incidence.of(self.n, self.sets)
+
+    @cached_property
+    def sets(self) -> tuple[Subset, ...]:
+        """The member Subsets, built from the record when first asked for."""
+        e, ends = self.incidence.elements.tolist(), self.incidence.indptr.tolist()
+        return tuple(Subset(self.n, sum(1 << x for x in e[a:b])) for a, b in zip(ends, ends[1:]))
+
+    @property
+    def m(self) -> int:
+        return len(self.incidence.indptr) - 1
+
+    def _key(self) -> tuple:
+        """What equality and the hash compare."""
+        inc = self.incidence
+        return type(self), self.n, inc.indptr.tobytes(), inc.elements.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Collection) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n!r}, sets={self.sets!r})"
 
 
 @dataclass(frozen=True)
@@ -182,7 +215,7 @@ def inverted(c: Collection, p: Permutation) -> np.ndarray:
         raise ValueError(f"permutation on {p.n} points applied to subsets of [0, {c.n})")
     inc = c.incidence
     image = np.asarray(p.image, np.int64)[inc.elements]
-    ok = np.ones(len(c.sets), bool)
+    ok = np.ones(c.m, bool)
     ok[inc.sets[(inc.rows[inc.sets, image >> 3] >> (image & 7)) & 1 == 1]] = False
     return ok
 
@@ -219,12 +252,13 @@ def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: 
     values from their last ``wide`` digits, as uint64, then per token
     whether some byte is not a digit and whether some digit before the
     last ``wide`` is not 0.  Per byte it holds only bytes and flags."""
-    window = np.lib.stride_tricks.sliding_window_view(np.append(np.zeros(wide, np.uint8), data), wide)
-    digits = window[ends] - np.uint8(48)
-    inside = np.arange(wide) >= wide - (ends - starts)[:, None]
-    value = (np.where(inside, digits, 0) * 10 ** np.arange(wide - 1, -1, -1, dtype=np.uint64)).sum(axis=1)
-    nondigit, big = ((digits > 9) & inside).any(axis=1), np.zeros(starts.size, bool)
-    if (ends - starts).max(initial=0) > wide:
+    padded, length = np.append(np.zeros(wide, np.uint8), data), ends - starts
+    value, nondigit, big = np.zeros(starts.size, np.uint64), np.zeros(starts.size, bool), np.zeros(starts.size, bool)
+    for k in range(wide):  # Horner's rule over the last `wide` places, highest first
+        digit, inside = padded[ends + k] - np.uint8(48), length >= wide - k
+        value = value * np.uint64(10) + np.where(inside, digit, np.uint8(0))
+        nondigit |= inside & (digit > 9)
+    if length.max(initial=0) > wide:
         span = np.zeros(data.size + 1, np.int8)  # 1 on the bytes before a token's last `wide`
         span[starts] += 1
         span[np.maximum(starts, ends - wide)] -= 1
@@ -249,25 +283,31 @@ def parse_collection(text: str) -> Collection:
     are decimal digits, leading zeros allowed, elements below 2^63.
 
     It is read as byte arrays of whole lines, about ``_PARSE_BLOCK`` bytes
-    at a time; the first fault in file order is reported, with its line.
+    at a time, straight into the collection's incidence record; the first
+    fault in file order is reported, with its line.
     """
     if not text.isascii():
         raise FormatError("collection files are ASCII")
-    n, sets, lineno, at = None, [], 0, 0
+    n, lineno, at, used = None, 0, 0, 0
+    sizes, elements = [np.zeros(0, np.int64)], np.zeros(0, np.int64)
     while at < len(text):
         end = text.find("\n", at + _PARSE_BLOCK) + 1 or len(text)
         raw = text[at:end].encode("ascii")
-        n = _parse_sets(np.frombuffer(raw, np.uint8), n, lineno, sets)
-        lineno, at = lineno + raw.count(b"\n"), end
+        n, block = _parse_sets(np.frombuffer(raw, np.uint8), n, lineno, sizes)
+        if used + block.size > elements.size:  # realloc to the projected size: no second copy
+            elements.resize((used + block.size) * len(text) // end, refcheck=False)
+        elements[used : used + block.size] = block
+        used, lineno, at = used + block.size, lineno + raw.count(b"\n"), end
     if n is None:
         raise FormatError("missing header line with the ground-set size")
-    return Collection(n, tuple(sets))
+    elements.resize(used, refcheck=False)
+    return Collection(n, Incidence(n, np.append(0, np.cumsum(np.concatenate(sizes))), elements))
 
 
-def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sets: list) -> int | None:
+def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sizes: list) -> tuple[int | None, np.ndarray]:
     """Check whole lines of a collection file that follow ``lineno`` lines,
-    reading the header first if ``n`` is None; append their sets, each
-    from its packed bytes, to ``sets`` and return n."""
+    reading the header first if ``n`` is None; append their sets' sizes to
+    ``sizes`` and return n and their elements, increasing within each set."""
     newlines, faults, starts, ends, line = scan_tokens(data)
 
     def refuse(at: int | None = None, what: str = "") -> None:
@@ -292,36 +332,35 @@ def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sets: list) -> int
         starts, ends, line = starts[1:], ends[1:], line[1:]
     if not starts.size:
         refuse()
-        return n
+        return n, np.zeros(0, np.int64)
 
     # 19 digits hold every element below 2^63
     value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
     outside = ~nondigit & (big | (value >= min(n, 1 << 63)))
     bad = nondigit | outside
 
-    # one set per line, packed into the bytes its largest element needs
-    step = np.diff(line, prepend=-1) != 0
+    # one set per line; a line whose elements do not rise is sorted, and
+    # a repeated element is flagged at its later tokens
+    first = np.flatnonzero(np.diff(line, prepend=-1))
     x = np.where(bad, 0, value).astype(np.int64)
-    widths = np.maximum.reduceat(x, np.flatnonzero(step)) // 8 + 1
-    byte = (np.cumsum(widths) - widths)[np.cumsum(step) - 1] + (x >> 3)
-    packed = np.zeros(int(widths.sum()), np.uint8)
-    np.bitwise_or.at(packed, byte, np.left_shift(1, x & 7).astype(np.uint8))
-    if np.count_nonzero(np.unpackbits(packed)) != x.size:  # two tokens set one bit
+    rising = x[1:] > x[:-1]
+    rising[first[1:] - 1] = True
+    if not rising.all():
         order = np.lexsort((np.arange(x.size), x, line))  # a line's equal tokens in file order
         again = (x[order[1:]] == x[order[:-1]]) & (line[order[1:]] == line[order[:-1]])
         bad[order[1:][again]] = True
+        x = x[order]
     if bad.any():  # the first faulty token in file order
         i = int(np.argmax(bad))
         token = data[starts[i] : ends[i]].tobytes().decode()
         digits = token.lstrip("0") or "0"
         refuse(starts[i], f"non-integer token {token!r}" if nondigit[i]
-               else f"duplicate element {x[i]}" if not outside[i]
+               else f"duplicate element {int(value[i])}" if not outside[i]
                else f"element {digits} outside [0, {n})" if n <= 1 << 63
                else f"element {digits} at or above 2^63")
     refuse()
-    raw, bounds = packed.tobytes(), np.cumsum(widths).tolist()
-    sets.extend(Subset(n, int.from_bytes(raw[a:b], "little")) for a, b in zip([0] + bounds, bounds))
-    return n
+    sizes.append(np.diff(first, append=x.size))
+    return n, x
 
 
 def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:
@@ -329,9 +368,9 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
 
     Empty member sets cannot be represented (the format has no line for
     them), nor can comments beyond tab and printable ASCII be read back,
-    so both are rejected.  The sets are written from the membership pairs
-    into one byte buffer, _WRITE_BLOCK pairs at a time, each digit place
-    over the elements that still have one.
+    so both are rejected.  The header and the sets are written into one
+    byte buffer, the sets from the record _WRITE_BLOCK elements at a time,
+    each digit place over the elements that still have one.
     """
     lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
     out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
@@ -339,17 +378,19 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
         if re.search(r"[^\t -\x7f]", ln):
             raise ValueError(f"comment {ln!r} holds a character that collection files refuse")
     out.append(str(c.n))
+    head = ("\n".join(out) + "\n").encode("ascii")
     inc = c.incidence
-    sizes = np.bincount(inc.sets, minlength=len(c.sets))
+    sizes = np.diff(inc.indptr)
     if (sizes == 0).any():
         raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
+    last = inc.indptr[1:] - 1  # each set's last element, followed by '\n'
     e = inc.elements
     digits = np.ones(e.size, np.uint8)
     for k in range(1, len(str(int(e.max()))) if e.size else 1):
         digits += e >= 10**k
-    buf = np.full(int(digits.sum(dtype=np.int64)) + e.size, 32, np.uint8)  # ' '
-    last = np.cumsum(sizes) - 1  # each set's last pair, followed by '\n'
-    at = 0
+    buf = np.full(len(head) + int(digits.sum(dtype=np.int64)) + e.size, 32, np.uint8)  # ' '
+    buf[: len(head)] = np.frombuffer(head, np.uint8)
+    at = len(head)
     for a in range(0, e.size, _WRITE_BLOCK):
         end = at + np.cumsum(digits[a : a + _WRITE_BLOCK] + 1, dtype=np.int64)  # past each separator
         lo, hi = np.searchsorted(last, [a, a + end.size])
@@ -359,7 +400,7 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
             buf[pos] = 48 + rest % 10
             rest = rest // 10
             pos, rest = pos[rest > 0] - 1, rest[rest > 0]
-    return "\n".join(out) + "\n" + str(buf, "ascii")
+    return str(buf, "ascii")
 
 
 def parse_permutation(text: str) -> Permutation:

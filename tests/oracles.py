@@ -19,11 +19,16 @@ built index maps of the cube doubling's vertex cover; and the collection
 file's token-by-token parser naive_parse_collection, its line-joining
 writer naive_serialize_collection, the permutation file's token-by-token
 parser naive_parse_permutation, the per-bit naive_conflict_graph and
-naive_elements, Subset.elements() through iter_bits; and
-brute_force_invertible, the pruned lexicographic search that was the
-library's own testing oracle.  identity_permutation is a test helper."""
+naive_elements, Subset.elements() through iter_bits; SubsetIncidence,
+the incidence record as it was built from the Subsets' ints, and
+subset_construct_packing_traced, the product construction that summed
+each block's shifted Subset ints; and brute_force_invertible, the pruned
+lexicographic search that was the library's own testing oracle.
+identity_permutation is a test helper."""
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
+from operator import getitem
 from itertools import combinations, permutations
 from math import ceil
 
@@ -42,6 +47,7 @@ from setpack import (
     lambda_simple,
     sigma,
 )
+from setpack import pack
 from setpack.pack import LevelTrace, PackingReport, constituent_table
 from setpack.setcore import FormatError
 
@@ -603,6 +609,80 @@ def naive_parse_collection(text: str) -> Collection:
             bits |= 1 << x
         sets.append(Subset(n, bits))
     return Collection(n, tuple(sets))
+
+
+class SubsetIncidence:
+    """setpack.setcore.Incidence as it was: the membership pairs of a
+    collection in CSR order (Gustavson 1978): set ``sets[k]`` holds element
+    ``elements[k]``, both int64, sorted by set and then by element, read
+    from one buffer of the sets' own bytes.  ``rows`` packs each set into
+    whole 64-bit words, little-endian, on first use.  ``indptr`` is the
+    running count of each set's pairs."""
+
+    def __init__(self, n: int, members):
+        self.n, self._members = n, members
+        widths = np.array([(s.bits.bit_length() + 7) // 8 for s in members], np.int64)
+        buf = b"".join(s.bits.to_bytes(w, "little") for s, w in zip(members, widths.tolist()))
+        raw = np.frombuffer(buf, np.uint8)
+        nonzero = np.flatnonzero(raw)  # small sets leave most bytes 0: unpack the others
+        bits = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
+        at = nonzero[bits >> 3]  # updated in place: the pair arrays dominate memory
+        at <<= 3
+        at |= bits & 7
+        del nonzero, bits
+        ends = 8 * np.cumsum(widths)
+        self.sets = np.searchsorted(ends, at, side="right")
+        at -= (ends - 8 * widths)[self.sets]
+        self.elements = at
+        self.indptr = np.append(0, np.cumsum(np.bincount(self.sets, minlength=len(members))))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        width = 8 * ((self.n + 63) // 64)
+        buf = b"".join(s.bits.to_bytes(width, "little") for s in self._members)
+        return np.frombuffer(buf, np.uint8).reshape(len(self._members), width)
+
+
+def subset_construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
+    """setpack.construct_packing_traced as it was, one Python int per
+    block: the sub-blocks sorted by their element tuples, each shifted into
+    its part, and a block the sum of its parts' shifted ints."""
+    return _subset_construct(n, Fraction(alpha).denominator)
+
+
+def _subset_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
+    alpha = Fraction(1, k)
+    if n * alpha <= 4:  # base: n singleton blocks
+        family = PackingFamily(n, tuple(Subset(n, 1 << x) for x in range(n)), alpha)
+        report = pack.verify_packing(family)
+        if not report.ok:
+            raise RuntimeError("singleton base family fails its own check")
+        return family, LevelTrace(n, n, alpha, None, (), n, report, None)
+
+    parts = 2 * k
+    sub_family, sub_trace = _subset_construct(n // parts, 2 * k)
+    p = sub_family.n
+    ordered = sorted(sub_family.blocks, key=lambda b: tuple(b.elements()))
+    q = pack._largest_prime_at_most(len(ordered))
+    if q is None or q <= parts:
+        # no usable prime: stop the recursion here and hand back the
+        # sub-family, which satisfies the stricter alpha/2 and hence alpha
+        family = PackingFamily(p, sub_family.blocks, alpha)
+        report = pack.verify_packing(family)
+        if not report.ok:
+            raise RuntimeError("fallback family fails its own check")
+        return family, LevelTrace(n, p, alpha, None, (), len(sub_family.blocks), report, sub_trace)
+
+    coeffs = tuple(j - 1 for j in range(3, parts + 1))
+    used_n = parts * p
+    placed = [[b.bits << (part * p) for b in ordered[:q]] for part in range(parts)]  # [part][index]
+    table = constituent_table(q, coeffs).tolist()
+    blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in table)
+    family = PackingFamily(used_n, blocks, alpha)
+    report = pack._certified_report(family, sub_trace, q, coeffs)
+    if not report.ok:
+        raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
+    return family, LevelTrace(n, used_n, alpha, q, coeffs, len(blocks), report, sub_trace)
 
 
 def naive_parse_permutation(text: str) -> Permutation:

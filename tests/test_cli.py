@@ -1,9 +1,10 @@
 import json
+import random
 import sys
 
 import pytest
 
-from setpack import kappa, pack, qcube, setcore
+from setpack import Collection, kappa, pack, qcube, setcore
 from setpack.cli import main, parse_ratio
 
 from oracles import naive_verify_packing
@@ -202,20 +203,26 @@ def test_pack_build_checks_once_per_level(monkeypatch, capsys):
         assert (doc["max_intersection"], doc["verified"]) == (oracle.max_intersection, oracle.ok)
 
 
+def counted_records(monkeypatch) -> list:
+    """The set counts of the incidence records built from now on."""
+    built, real = [], setcore.Incidence.__init__
+
+    def counted(self, n, indptr, elements):
+        built.append(len(indptr) - 1)
+        real(self, n, indptr, elements)
+
+    monkeypatch.setattr(setcore.Incidence, "__init__", counted)
+    return built
+
+
 def test_pack_build_out_builds_one_incidence_per_family(monkeypatch, tmp_path, capsys):
-    # the family's own record serves its check, if any, and the writer
-    built = []
-
-    class Counted(setcore.Incidence):
-        def __init__(self, n, members):
-            built.append(len(members))
-            super().__init__(n, members)
-
-    monkeypatch.setattr(setcore, "Incidence", Counted)
+    # each level's family is its record: it serves the level's check, if
+    # any, and the writer
+    built = counted_records(monkeypatch)
     out = tmp_path / "fam.txt"
     # (28, 1/2): 7 checked singletons under 49 certified product blocks;
-    # (10, 1/2): 2 checked singletons, checked again as the fallback family
-    for n, records in ((28, [7, 49]), (10, [2, 2])):
+    # (10, 1/2): 2 checked singletons, whose record the fallback family shares
+    for n, records in ((28, [7, 49]), (10, [2])):
         built.clear()
         assert main(["pack", "build", "--n", str(n), "--alpha", "1/2", "--out", str(out)]) == 0
         assert built == records, n
@@ -253,19 +260,51 @@ def test_pack_verify_reads_the_structure_off_the_file(monkeypatch, tmp_path, cap
     out = tmp_path / "fam.txt"
     assert main(["pack", "build", "--n", "400", "--alpha", "1/2", "--out", str(out)]) == 0
     capsys.readouterr()
-    checked, built = [], []
-    real = pack._max_pair
+    checked, real = [], pack._max_pair
     monkeypatch.setattr(pack, "_max_pair", lambda points, n: checked.append(len(points)) or real(points, n))
-
-    class Counted(setcore.Incidence):
-        def __init__(self, n, members):
-            built.append(len(members))
-            super().__init__(n, members)
-
-    monkeypatch.setattr(setcore, "Incidence", Counted)
+    built = counted_records(monkeypatch)
     code, text = run(capsys, "pack", "verify", "--input", str(out))
     assert code == 0 and (checked, built) == ([113], [12769])
     assert "pass: 81517296 pairs checked, max intersection 11 (blocks 0,1), threshold < 16" in text
+
+
+def test_pack_verify_refuses_nonpositive_alpha(tmp_path, capsys):
+    # a nonpositive alpha is bad input, not a claim that fails to verify
+    f = tmp_path / "fam.txt"
+    for alpha in ("-1/2", "0", "0/3"):
+        f.write_text(f"# packing n=4 alpha={alpha} c=1/4\n4\n0\n1\n")
+        assert main(["pack", "verify", "--input", str(f)]) == 3, alpha
+        assert f"input error: nonpositive alpha={alpha} in the family header" in capsys.readouterr().err
+        with pytest.raises(setcore.FormatError):
+            pack.parse_family(f.read_text())
+        assert main(["pack", "verify", "--input", str(f), "--alpha", "1/2"]) == 0
+        capsys.readouterr()
+    for alpha in ("0", "-1/2", "-0.5"):
+        assert main(["pack", "verify", "--input", str(f), f"--alpha={alpha}"]) == 2, alpha
+        assert "error: alpha must be positive" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            pack.parse_family(f.read_text(), alpha)
+
+
+def test_commands_build_no_subset_per_set(monkeypatch, tmp_path, capsys):
+    # invert, kappa, pack build --out and pack verify read the record alone:
+    # a Subset only per conflict-graph row, certificate or witness
+    built, real = [], setcore.Subset.__post_init__
+    monkeypatch.setattr(setcore.Subset, "__post_init__", lambda self: built.append(self.n) or real(self))
+    rng = random.Random(17)
+    n, m = 150, 1200
+    for extra in ([], [list(range(n // 2 + 1))]):  # a witness, then a certificate
+        f = tmp_path / "c.txt"
+        f.write_text(setcore.serialize_collection(Collection.of(n, [rng.sample(range(n), rng.randint(1, 3)) for _ in range(m)] + extra)))
+        built.clear()
+        code, _ = run(capsys, "invert", "--input", str(f))
+        assert code == (1 if extra else 0) and len(built) <= n + 2, len(built)
+    built.clear()
+    assert run(capsys, "kappa", "--input", str(f))[0] == 0 and built == []
+    out = tmp_path / "fam.txt"
+    assert run(capsys, "pack", "build", "--n", "1000", "--alpha", "1/8", "--out", str(out))[0] == 0  # 3,721 blocks
+    assert run(capsys, "pack", "verify", "--input", str(out))[0] == 0
+    assert built == []
 
 
 def test_pack_no3(tmp_path, capsys):

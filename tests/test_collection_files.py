@@ -75,12 +75,18 @@ def test_writer_refuses_what_the_oracle_refuses():
 def test_incidence_is_sorted_and_cached():
     c = Collection.of(70, [[69, 3], [], [0, 64, 5]])
     inc = c.incidence
+    assert inc.indptr.tolist() == [0, 2, 2, 5]
     assert inc.sets.tolist() == [0, 0, 2, 2, 2]
     assert inc.elements.tolist() == [3, 69, 0, 5, 64]
     assert inc.rows.shape == (3, 16)
-    assert c.incidence is inc  # built once per collection
+    assert c.incidence is inc and inc.sets is inc.sets  # built once per collection
     assert c == Collection.of(70, [[3, 69], [], [0, 5, 64]])  # equality ignores it
     assert "incidence" not in repr(c)
+    made = Collection(70, inc)  # from the record: its Subsets on first use, once
+    assert "sets" not in vars(made) and made.m == 3
+    assert made.sets == c.sets and made.sets is made.sets and repr(made) == repr(c)
+    with pytest.raises(ValueError, match="record over ground set of size 70"):
+        Collection(71, inc)
 
 
 def test_conflict_graph_gathers_in_bounded_steps(monkeypatch):

@@ -1,6 +1,7 @@
 """parse(serialize(x)) == x for the three file formats, on generated values."""
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from setpack import (
 )
 from setpack.qcube import parse_cube_edges, serialize_cube_edges
 from setpack.setcore import FormatError
+
+from oracles import SubsetIncidence, naive_parse_collection
 
 SETTINGS = settings.get_profile("setpack")
 
@@ -46,6 +49,40 @@ def test_collection_roundtrip(c, comments):
             serialize_collection(c, comments)
         comments = []
     assert parse_collection(serialize_collection(c, comments)) == c
+
+
+def same_record(inc, oracle) -> bool:
+    """Whether a record equals the oracle's, its derived arrays included."""
+    return (inc.elements.dtype == np.int64 and inc.n == oracle.n
+            and all(np.array_equal(getattr(inc, k), getattr(oracle, k)) for k in ("indptr", "elements", "sets", "rows")))
+
+
+@SETTINGS
+@given(collections(), st.randoms(use_true_random=False))
+def test_parsed_record_matches_the_oracle(c, rng):
+    # the sets' tokens in any order, with blanks, comments and CRLF line ends
+    lines = [str(c.n)]
+    for s in c.sets:
+        tokens = [f"{'0' * rng.randrange(3)}{x}" for x in s.elements()]
+        rng.shuffle(tokens)
+        lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "\t ", "  "]).join(tokens))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["# note", "", "#"]))
+    text = rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+    parsed, oracle = parse_collection(text), naive_parse_collection(text)
+    assert "sets" not in vars(parsed)  # the parser makes the record alone
+    assert same_record(parsed.incidence, SubsetIncidence(oracle.n, oracle.sets))
+    assert parsed.sets == oracle.sets and parsed == oracle == c
+    assert same_record(Collection(c.n, c.sets).incidence, SubsetIncidence(c.n, c.sets))
+
+
+@SETTINGS
+@given(st.integers(0, 70).flatmap(lambda n: st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=n and 9), max_size=9).map(lambda sets: (n, sets))))
+def test_record_of_subsets_with_empty_sets_matches_the_oracle(case):
+    c = Collection.of(*case)
+    assert same_record(c.incidence, SubsetIncidence(c.n, c.sets))
+    rebuilt = Collection(c.n, c.incidence)  # and back: the Subsets from the record
+    assert rebuilt.sets == c.sets and rebuilt == c and repr(rebuilt) == repr(c)
 
 
 @SETTINGS

@@ -278,7 +278,7 @@ def test_find_simple_matches_count_table_search(monkeypatch):
 
 def test_find_simple_refuses_collections_too_large_for_limbs():
     with pytest.raises(ValueError, match="limb width"):
-        find_simple_permutation(SimpleNamespace(n=4, sets=range(1 << 60)))
+        find_simple_permutation(SimpleNamespace(n=4, m=1 << 60))
 
 
 def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):

@@ -31,8 +31,15 @@ from setpack.pack import (
 )
 from setpack.setcore import Subset
 
-from oracles import naive_shared_constituent_violations, naive_verify_packing
+from oracles import (
+    SubsetIncidence,
+    naive_parse_collection,
+    naive_shared_constituent_violations,
+    naive_verify_packing,
+    subset_construct_packing_traced,
+)
 from test_acceptance import SWEEP
+from test_format_roundtrip import same_record
 
 
 def brute_force_packing_graph(n, cn_size, alpha):
@@ -184,6 +191,35 @@ def test_sweep_reports_match_oracles():
 # perfbench's pack-grid instances
 PACK_GRID = [(400, "1/2"), (3000, "1/16"), (2000, "1/16"), (1000, "1/8"),
              (28, "1/2"), (2000, "1/8"), (500, "1/4"), (300, "1/3")]
+
+
+def test_construction_and_its_files_match_the_subset_oracles():
+    # each family and level record against the construction that summed
+    # Subset ints, and its file's record against the token-by-token parser
+    for n, alpha in sorted({*SWEEP, *((n, Fraction(a)) for n, a in PACK_GRID)}):
+        fam, trace = construct_packing_traced(n, alpha)
+        oracle, oracle_trace = subset_construct_packing_traced(n, alpha)
+        assert "sets" not in vars(fam)  # made from the record alone
+        assert fam == oracle and trace == oracle_trace, (n, alpha)
+        assert same_record(fam.incidence, SubsetIncidence(oracle.n, oracle.blocks))
+        text = serialize_family(fam)
+        parsed, naive = pack.parse_collection(text), naive_parse_collection(text)
+        assert parsed.sets == naive.sets == oracle.blocks, (n, alpha)
+        assert same_record(parsed.incidence, fam.incidence)
+
+
+def test_family_equality_hash_and_repr():
+    # a family is its blocks and its alpha, made from Subsets or a record
+    fam = PackingFamily.of(4, [[0], [1]], "1/2")
+    same = PackingFamily(4, fam.incidence, Fraction(1, 2))
+    assert fam == same and hash(fam) == hash(same)
+    assert fam != PackingFamily.of(4, [[0], [1]], "1/3") and fam != PackingFamily.of(4, [[1], [0]], "1/2")
+    assert fam != Collection.of(4, [[0], [1]]) and Collection.of(4, [[0], [1]]) != fam
+    assert repr(same) == "PackingFamily(n=4, sets=(Subset(4, {0}), Subset(4, {1})), declared_alpha=Fraction(1, 2))"
+    with pytest.raises(ValueError, match="equal cardinality"):
+        PackingFamily(4, Collection.of(4, [[0], [1, 2]]).incidence, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        fam.n = 5
 
 
 def exhaustive_report(fam):

@@ -18,7 +18,7 @@ from setpack.qcube import (
     parse_cube_edges,
     serialize_cube_edges,
 )
-from setpack.setcore import FormatError, Subset
+from setpack.setcore import Collection, FormatError, Subset
 
 from oracles import (
     cube_edge_pairs,
@@ -198,7 +198,9 @@ def test_direction_collection_matches_edge_scan():
             missing = [d for d in range(n) if (v & ~(1 << d), d) not in edges]
             if 2 * (n - len(missing)) >= n:
                 expected.append(Subset.of(n, missing))
-        assert direction_collection(m).sets == tuple(expected)
+        col = direction_collection(m)
+        assert "sets" not in vars(col)  # made from the record alone
+        assert col == Collection(n, tuple(expected)) and col.sets == tuple(expected)
 
 
 def test_assisted_never_worse_and_blocking():
