@@ -224,7 +224,10 @@ def _cmd_pack_no3(args, out: Outcome):
         f"{col.m} sets of size {col.n // 2} on n={col.n}; "
         f"no 3-subcollection invertible, every 2-subcollection invertible"
     )
-    out.say("verified: all sampled triples fail the condition, all sampled pairs invert")
+    out.say(
+        f"verified: residue blocks meet in fewer than k/3 = {args.k}/3 points: "
+        f"every triple fails the condition, every pair is half-size"
+    )
     out.doc = {
         "n": col.n,
         "k": args.k,

@@ -23,7 +23,9 @@ naive_elements, Subset.elements() through iter_bits; SubsetIncidence,
 the incidence record as it was built from the Subsets' ints, and
 subset_construct_packing_traced, the product construction that summed
 each block's shifted Subset ints; and brute_force_invertible, the pruned
-lexicographic search that was the library's own testing oracle.
+lexicographic search that was the library's own testing oracle; and
+naive_no_three_checks, no_three_invertible_family's former per-triple
+and per-pair re-check, run on every triple and pair instead of a sample.
 identity_permutation is a test helper."""
 from collections import deque
 from fractions import Fraction
@@ -47,7 +49,8 @@ from setpack import (
     lambda_simple,
     sigma,
 )
-from setpack import pack
+from setpack import decide_invertible, pack
+from setpack.invert import check_triple
 from setpack.pack import LevelTrace, PackingReport, constituent_table
 from setpack.setcore import FormatError
 
@@ -391,6 +394,17 @@ def naive_verify_packing(f: PackingFamily) -> PackingReport:
     pairs = count * (count - 1) // 2
     ok = distinct and Fraction(max_int) < threshold
     return PackingReport(ok, pairs, max_int, threshold, size, distinct, worst)
+
+
+def naive_no_three_checks(col: Collection) -> list[tuple[int, ...]]:
+    """The sub-collections of col that break the "no three invertible"
+    claims: each triple satisfying check_triple or invertible, and each
+    pair not invertible, with every one of them checked."""
+    def sub(combo):
+        return Collection(col.n, tuple(col.sets[i] for i in combo))
+
+    bad = [c for c in combinations(range(col.m), 3) if check_triple(sub(c)) or decide_invertible(sub(c)).invertible]
+    return bad + [c for c in combinations(range(col.m), 2) if not decide_invertible(sub(c)).invertible]
 
 
 def naive_shared_constituent_violations(trace: LevelTrace) -> int:

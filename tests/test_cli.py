@@ -1,13 +1,14 @@
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from setpack import Collection, kappa, pack, qcube, setcore
+from setpack import Collection, invert, kappa, pack, qcube, setcore
 from setpack.cli import main, parse_ratio
 
-from oracles import naive_verify_packing
+from oracles import naive_no_three_checks, naive_verify_packing
 from fractions import Fraction
 
 
@@ -315,6 +316,91 @@ def test_pack_no3(tmp_path, capsys):
     assert code == 0
     assert "3 sets of size 6" in out
     assert out_file.read_text().startswith("12\n")
+    assert naive_no_three_checks(setcore.parse_collection(out_file.read_text())) == []
+
+
+@pytest.fixture(scope="module")
+def rs361(tmp_path_factory):
+    """The 361 blocks of construct_packing(128, 1/3), shifted past the core
+    [0, 114) of pack no3 --n 240 --k 6."""
+    inc = pack.construct_packing(128, Fraction(1, 3)).incidence
+    path = tmp_path_factory.mktemp("rs") / "rs361.txt"
+    path.write_text(setcore.serialize_collection(Collection(240, setcore.Incidence(240, inc.indptr, inc.elements + 114))))
+    return path
+
+
+def no3_rs(capsys, rs, *extra, n="240", k="6"):
+    code = main([*extra, "pack", "no3", "--n", n, "--k", k, "--rs", str(rs)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_pack_no3_rs(rs361, tmp_path, capsys):
+    out_file = tmp_path / "no3.txt"
+    code, out, _ = no3_rs(capsys, rs361)
+    assert code == 0
+    assert out.splitlines() == [
+        "361 sets of size 120 on n=240; no 3-subcollection invertible, every 2-subcollection invertible",
+        "verified: residue blocks meet in fewer than k/3 = 6/3 points: every triple fails the condition, every pair is half-size",
+    ]
+    code, out, _ = no3_rs(capsys, rs361, "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 240, "k": 6, "sets": 361, "set_size": 120, "verified": True, "exit_code": 0}
+    code, out = run(capsys, "pack", "no3", "--n", "240", "--k", "6", "--rs", str(rs361), "--out", str(out_file))
+    assert code == 0 and out.splitlines()[-1] == f"written to {out_file}"
+    col = pack.no_three_invertible_family(240, 6, pack.parse_family(rs361.read_text(), Fraction(1, 3)))
+    assert out_file.read_text() == setcore.serialize_collection(col)
+
+
+def test_pack_no3_rs_faults(rs361, tmp_path, capsys):
+    lines = rs361.read_text().splitlines(keepends=True)
+
+    def edited(at):
+        # at: line by block index; the file keeps its header line 0
+        path = tmp_path / "rs.txt"
+        path.write_text("".join(at.get(i - 1, line) for i, line in enumerate(lines)))
+        return path
+
+    for at, n, k, code, message in [
+        ({}, "242", "6", 2, "error: residue family must live on the same ground set"),
+        ({}, "240", "5", 2, "error: residue block 0 does not have cardinality 5"),
+        ({4: "114 135\n"}, "240", "6", 2, "error: blocks must have equal cardinality"),
+        ({7: lines[8].replace("114", "113")}, "240", "6", 2, "error: residue block 7 intrudes into the core [0, 114)"),
+        ({10: lines[4]}, "240", "6", 2, "error: residue blocks 3,10 intersect in >= k/3 elements"),
+        ({5: "114 x 156 177 198 219\n"}, "240", "6", 3, "input error: "),
+        ({5: "114 135 156 177 198 240\n"}, "240", "6", 3, "input error: "),
+    ]:
+        got, out, err = no3_rs(capsys, edited(at), n=n, k=k)
+        assert (got, out) == (code, "") and err.startswith(message), (at, n, k, err)
+
+
+def test_pack_no3_rs_builds_no_subset(rs361, monkeypatch, tmp_path, capsys):
+    built, real = [], setcore.Subset.__post_init__
+    monkeypatch.setattr(setcore.Subset, "__post_init__", lambda self: built.append(self.n) or real(self))
+    assert no3_rs(capsys, rs361, "--json")[0] == 0
+    assert run(capsys, "pack", "no3", "--n", "240", "--k", "6", "--rs", str(rs361), "--out", str(tmp_path / "o.txt"))[0] == 0
+    assert built == []
+
+
+def test_pack_no3_rs_checks_no_triple_or_pair(rs361, capsys):
+    # the residue check proves the claims: no triple or pair reaches invert
+    watched, calls = {invert.check_triple.__code__, invert.decide_invertible.__code__}, []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in watched and calls.append(frame.f_code.co_name))
+    try:
+        code = no3_rs(capsys, rs361)[0]
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and calls == []
+
+
+def test_pack_no3_rs_memory(rs361, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code, _ = run(capsys, "pack", "no3", "--n", "240", "--k", "6", "--rs", str(rs361), "--out", str(tmp_path / "o.txt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 50 * 2**20, peak
 
 
 def test_bounds_commands(capsys):

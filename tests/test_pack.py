@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,11 @@ from setpack.pack import (
     serialize_family,
     shared_constituent_violations,
 )
-from setpack.setcore import Subset
+from setpack.setcore import Incidence, Subset
 
 from oracles import (
     SubsetIncidence,
+    naive_no_three_checks,
     naive_parse_collection,
     naive_shared_constituent_violations,
     naive_verify_packing,
@@ -584,9 +586,7 @@ def test_no_three_family_example():
     # triple fails both the condition and real invertibility
     assert not check_triple(col)
     assert not decide_invertible(col).invertible
-    for i, j in combinations(range(3), 2):
-        pair = Collection(12, (col.sets[i], col.sets[j]))
-        assert decide_invertible(pair).invertible
+    assert naive_no_three_checks(col) == []
 
 
 def test_no_three_family_validation():
@@ -594,11 +594,15 @@ def test_no_three_family_validation():
     with pytest.raises(ValueError, match="residue blocks 0,2 intersect"):
         no_three_invertible_family(12, 3, rs)  # intersection 1 >= k/3
     rs = PackingFamily.of(12, [[0, 4, 5], [6, 7, 8]], Fraction(1, 3))
-    with pytest.raises(ValueError):
-        no_three_invertible_family(12, 3, rs)  # intrudes into the core
+    with pytest.raises(ValueError, match=r"residue block 0 intrudes into the core \[0, 3\)"):
+        no_three_invertible_family(12, 3, rs)
     rs = PackingFamily.of(12, [[3, 4, 5], [6, 7, 8]], Fraction(1, 3))
     col = no_three_invertible_family(12, 3, rs)  # two sets: vacuous triples
     assert col.m == 2
+    with pytest.raises(ValueError, match="residue block 0 does not have cardinality 2"):
+        no_three_invertible_family(12, 2, rs)
+    col = no_three_invertible_family(12, 3, PackingFamily.of(12, [], Fraction(1, 3)))
+    assert col.m == 0 and col == Collection(12, ())
 
 
 def test_residue_family_default():
@@ -606,6 +610,76 @@ def test_residue_family_default():
     assert [b.elements() for b in rs.blocks] == [[3, 4, 5], [6, 7, 8], [9, 10, 11]]
     col = no_three_invertible_family(12, 3, rs)
     assert col.m == 3
+
+
+def subset_no_three_family(n, k, rs):
+    """no_three_invertible_family's sets as they were built, one Subset
+    each: the core's bits ORed onto a residue block's."""
+    core = (1 << (n // 2 - k)) - 1
+    return Collection(n, tuple(Subset(n, core | b.bits) for b in rs.blocks))
+
+
+def seeded_greedy_residues(n, k, seed):
+    """k-subsets past the core meeting pairwise in fewer than k/3 points,
+    kept first-fit in a seeded random order."""
+    rng = random.Random(seed)
+    pool = [sum(1 << x for x in c) for c in combinations(range(n // 2 - k, n), k)]
+    rng.shuffle(pool)
+    kept = []
+    for bits in pool:
+        if all(3 * (bits & b).bit_count() < k for b in kept):
+            kept.append(bits)
+    return PackingFamily(n, tuple(Subset(n, b) for b in kept), Fraction(1, 3))
+
+
+def sampled_construction_residues(n, k, size, seed):
+    """size of the blocks of a constructed 1/3 packing of k-sets, in a
+    seeded random order, shifted past the core."""
+    fam = construct_packing(n // 2 + k, Fraction(1, 3))
+    assert fam.block_size == k
+    pick = random.Random(seed).sample(range(fam.m), size)
+    points = fam.incidence.elements.reshape(fam.m, k)[pick] + (n // 2 - k)
+    return PackingFamily(n, Incidence(n, np.arange(size + 1) * k, points.reshape(-1)), Fraction(1, 3))
+
+
+# residue families of 24 to 40 blocks: more than 2,000 triples each
+RESIDUES = {
+    "lexicographic greedy (32, 4)": lambda: (32, 4, residue_family(32, 4)),
+    "seeded greedy (34, 4)": lambda: (34, 4, seeded_greedy_residues(34, 4, 0)),
+    "constructed (72, 6)": lambda: (72, 6, sampled_construction_residues(72, 6, 28, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUES))
+def test_no_three_family_against_every_triple_and_pair(name):
+    n, k, rs = RESIDUES[name]()
+    col = no_three_invertible_family(n, k, rs)
+    assert 24 <= col.m <= 40 and comb(col.m, 3) > 2_000
+    assert col == subset_no_three_family(n, k, rs)
+    assert naive_no_three_checks(col) == []
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUES))
+def test_no_three_family_tampered_residues(name):
+    n, k, rs = RESIDUES[name]()
+    head, points = n // 2 - k, rs.incidence.elements.reshape(rs.m, k)
+
+    def family(edit):
+        edited = points.copy()
+        edit(edited)
+        return PackingFamily(n, Incidence(n, rs.incidence.indptr, edited.reshape(-1)), Fraction(1, 3))
+
+    def duplicate(p):
+        p[17] = p[6]
+
+    def intrude(p):
+        p[19, 0] = head - 1
+        p[23, 0] = 0
+
+    with pytest.raises(ValueError, match="residue blocks 6,17 intersect in >= k/3 elements"):
+        no_three_invertible_family(n, k, family(duplicate))
+    with pytest.raises(ValueError, match=rf"residue block 19 intrudes into the core \[0, {head}\)"):
+        no_three_invertible_family(n, k, family(intrude))
 
 
 def test_family_serialization_roundtrip():
