@@ -13,8 +13,8 @@ block (l, m) takes sub-block l from part 1, m from part 2 and
 (l + (j-1) m) mod q from part j >= 3.  Distinct index pairs agree in at
 most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
-Each product level is certified from that proof in O(parts + block size)
-and a family file from its blocks' structure; others are checked pair by pair.
+A product level is certified by that proof and a check of its q sub-blocks,
+a family file by its blocks' structure; others are checked pair by pair.
 A family is a Collection of its blocks, held as their incidence record,
 with the alpha it claims.  A product level's record is one gather from
 the sub-family's point matrix, so no block is ever a Python int; the
@@ -215,8 +215,13 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
     if (int(index.max()) + 1) ** 2 > parts * count or _shared_pairs(index):
         return None
     sub_points = np.unique(points.reshape(-1, s)[at] - starts[at % parts, None], axis=0)  # their union
-    bound = s + (parts - 1) * _max_pair(sub_points, p)[0]
+    bound = _product_bound(sub_points, p, parts)
     return _witness_report(f, bound) if bound < alpha * size else None
+
+
+def _product_bound(subs: np.ndarray, p: int, parts: int) -> int:
+    """U = s + (parts-1)*sub_max over the sub-blocks subs, rows of s points of [0, p)."""
+    return subs.shape[1] + (parts - 1) * _max_pair(subs, p)[0]
 
 
 def _witness_report(f: PackingFamily, bound: int) -> PackingReport | None:
@@ -269,17 +274,16 @@ def _largest_prime_at_most(x: int) -> int | None:
     return next((q for q in range(x, 1, -1) if _is_prime(q)), None)
 
 
-def _certified_report(family: PackingFamily, sub: LevelTrace, q: int, coeffs) -> PackingReport:
+def _certified_report(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> PackingReport:
     """The report verify_packing gives a product level, from its proof:
     blocks from distinct index pairs agree in at most one coordinate, so
-    they are distinct and meet in at most U = sub_block + (parts-1)*sub_max
-    points.  Blocks 0 and 1 (coordinates all 0, and 0, 1, ..., parts-1)
-    are the witness: _witness_report gives the report, or else verify_packing."""
+    they are distinct and meet in at most U = _product_bound(subs), subs the
+    q sub-blocks it takes.  Blocks 0 and 1 (coordinates all 0, and 0, 1, ...,
+    parts-1) are the witness: _witness_report gives the report, or else verify_packing."""
     parts = len(coeffs) + 2
     threshold = family.declared_alpha * family.block_size
-    bound = sub.report.block_size + (parts - 1) * sub.report.max_intersection
+    bound = _product_bound(subs, family.n // parts, parts)
     for failed, why in (
-        (not sub.report.ok, "the sub-level report is not ok"),
         (not (_is_prime(q) and q > parts), f"q = {q} is not a prime above {parts}"),
         (len(set(coeffs)) < len(coeffs) or not all(2 <= a < q for a in coeffs),
          f"coefficients {coeffs} are not distinct in [2, {q})"),
@@ -294,37 +298,30 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     """One level: the base's singletons, or each product block as one gather
     of sub-blocks from the sub-family's point matrix, shifted into parts."""
     alpha = Fraction(1, k)
+    q, coeffs, sub_trace = None, (), None
     if n * alpha <= 4:  # base: n singleton blocks
-        family = PackingFamily(n, Incidence(n, np.arange(n + 1), np.arange(n)), alpha)
-        report = verify_packing(family)
-        if not report.ok:
-            raise RuntimeError("singleton base family fails its own check")
-        return family, LevelTrace(n, n, alpha, None, (), n, report, None)
-
-    parts = 2 * k
-    sub_family, sub_trace = _construct(n // parts, 2 * k)
-    p = sub_family.n
-    sub = sub_family.incidence.elements.reshape(sub_family.m, -1)
-    ordered = sub[np.lexsort(sub.T[::-1])]  # the sub-blocks in lexicographic order
-    q = _largest_prime_at_most(len(ordered))
-    if q is None or q <= parts:
-        # no usable prime: stop the recursion here and hand back the
-        # sub-family, which satisfies the stricter alpha/2 and hence alpha
-        family = PackingFamily(p, sub_family.incidence, alpha)
-        report = verify_packing(family)
-        if not report.ok:
-            raise RuntimeError("fallback family fails its own check")
-        return family, LevelTrace(n, p, alpha, None, (), sub_family.m, report, sub_trace)
-
-    coeffs = tuple(j - 1 for j in range(3, parts + 1))
-    used_n = parts * p
-    points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
-    points += (np.arange(parts) * p)[:, None]
-    family = PackingFamily(used_n, Incidence(used_n, np.arange(q * q + 1) * points[0].size, points.reshape(-1)), alpha)
-    report = _certified_report(family, sub_trace, q, coeffs)
+        kind, family = "singleton base", PackingFamily(n, Incidence(n, np.arange(n + 1), np.arange(n)), alpha)
+    else:
+        parts = 2 * k
+        sub_family, sub_trace = _construct(n // parts, 2 * k)
+        p = sub_family.n
+        sub = sub_family.incidence.elements.reshape(sub_family.m, -1)
+        ordered = sub[np.lexsort(sub.T[::-1])]  # the sub-blocks in lexicographic order
+        q = _largest_prime_at_most(len(ordered))
+        if q is None or q <= parts:
+            # no usable prime: stop the recursion here and hand back the
+            # sub-family, which satisfies the stricter alpha/2 and hence alpha
+            kind, family, q = "fallback", PackingFamily(p, sub_family.incidence, alpha), None
+        else:
+            coeffs = tuple(j - 1 for j in range(3, parts + 1))
+            points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
+            points += (np.arange(parts) * p)[:, None]
+            record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))
+            kind, family = "constructed", PackingFamily(parts * p, record, alpha)
+    report = verify_packing(family) if q is None else _certified_report(family, ordered[:q], q, coeffs)
     if not report.ok:
-        raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
-    return family, LevelTrace(n, used_n, alpha, q, coeffs, q * q, report, sub_trace)
+        raise RuntimeError(f"{kind} family fails its own check: {report.summary()}")
+    return family, LevelTrace(n, family.n, alpha, q, coeffs, family.m, report, sub_trace)
 
 
 def construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
@@ -409,9 +406,10 @@ def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
 
     K is the first n/2 - k elements; the residue blocks R_i are k-subsets
     of the remaining positions whose pairwise intersections stay below
-    k/3, which verify_packing checks.  That check proves both claims for
-    every pair and triple, so none is checked on its own.  Pairs: any two
-    half-size sets are invertible.  Triples: check_triple holds for
+    k/3, which verify_packing checks past the core, where blocks cut from
+    a built packing keep their structure.  That check proves both claims
+    for every pair and triple, so none is checked on its own.  Pairs: any
+    two half-size sets are invertible.  Triples: check_triple holds for
     half-size sets iff 2|S1^S2^S3| = sum |Si^Sj| - n/2, that is, iff
     2|R1^R2^R3| = sum |Ri^Rj| - k, whose right side is negative once each
     |Ri^Rj| < k/3; so every triple fails that necessary condition.
@@ -431,7 +429,8 @@ def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
         low = np.flatnonzero(rs.incidence.elements < head)
         if low.size:
             raise ValueError(f"residue block {low[0] // k} intrudes into the core [0, {head})")
-    report = verify_packing(PackingFamily(n, rs.incidence, Fraction(1, 3)))
+    window = Incidence(n - head, rs.incidence.indptr, rs.incidence.elements - head)
+    report = verify_packing(PackingFamily(n - head, window, Fraction(1, 3)))
     if not report.ok:
         i, j = report.worst_pair
         raise ValueError(f"residue blocks {i},{j} intersect in >= k/3 elements")

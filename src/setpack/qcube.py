@@ -25,7 +25,7 @@ import numpy as np
 
 from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
-from .setcore import Collection, FormatError, Incidence, Permutation, bit_positions, read_decimals, scan_tokens
+from .setcore import Collection, FormatError, Incidence, Permutation, bit_positions, bits_of, read_decimals, scan_tokens
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
 # under 10 s: 5.3 s at n = 18, 19.5 s at n = 19 (2-core VM).
@@ -40,34 +40,6 @@ def _clear(d: int, width: int) -> int:
         mask |= mask << span
         span *= 2
     return mask
-
-
-_BLOCK = 1 << 16  # bits per pass of _bits_of: its flags take this many bytes
-_MAX_BITS = 1 << 32  # longest bit vector _bits_of builds: 512 MiB packed
-
-
-def _bits_of(vertices: np.ndarray) -> int:
-    """Bit vector with the bits at the given non-negative positions set.
-
-    The sorted positions are packed one block of ``_BLOCK`` bits at a
-    time, and only the blocks that hold some, so besides the packed bytes
-    only one block holds a byte per bit.  Vectors longer than ``_MAX_BITS``
-    are refused before any memory is taken for them.
-    """
-    vertices = np.sort(vertices)
-    if not vertices.size:
-        return 0
-    if vertices[-1] >= _MAX_BITS:
-        raise MemoryError(f"a bit vector with bit {vertices[-1]} set is longer than {_MAX_BITS} bits")
-    packed = np.zeros(int(vertices[-1]) // 8 + 1, np.uint8)
-    flags = np.empty(min(_BLOCK, 8 * packed.size), bool)
-    for part in np.split(vertices, np.flatnonzero(np.diff(vertices // _BLOCK)) + 1):
-        start = int(part[0]) // _BLOCK * _BLOCK
-        block = flags[: min(_BLOCK, 8 * packed.size - start)]
-        block[:] = False
-        block[part - start] = True
-        packed[start // 8 : start // 8 + block.size // 8] = np.packbits(block, bitorder="little")
-    return int.from_bytes(packed, "little")
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
@@ -108,7 +80,7 @@ class CubeEdgeSet:
             i = int(np.argmax(outside))
             raise ValueError(f"edge ({v[i]}, {d[i]}) outside Q_{n}")
         by_dir = np.split(v[np.argsort(d)], np.cumsum(np.bincount(d, minlength=n)))[:n]
-        return cls(n, tuple(map(_bits_of, by_dir)))
+        return cls(n, tuple(map(bits_of, by_dir)))
 
     def __len__(self) -> int:
         return sum(bits.bit_count() for bits in self.dirs)
@@ -164,7 +136,7 @@ def _min_vertex_cover(residual: Sequence[int]) -> int:
     reach_l, layers = alternating_reach(adj, match_r, free)
     reach_r = sum(layers)  # the layers are disjoint
     unreached = bit_positions(~reach_l & ((1 << len(evens)) - 1))
-    cover = _bits_of(np.concatenate([evens[unreached], odds[bit_positions(reach_r)]]))
+    cover = bits_of(np.concatenate([evens[unreached], odds[bit_positions(reach_r)]]))
     if cover.bit_count() != len(evens) - len(free):
         raise RuntimeError("cover size differs from the matching size")
     for d, bits in enumerate(residual):
@@ -180,7 +152,7 @@ def _permute_directions(m: CubeEdgeSet, p: Permutation) -> tuple[int, ...]:
         relabel = np.concatenate([relabel, relabel | 1 << p.image[b]])
     out = [0] * m.n
     for d, bits in enumerate(m.dirs):
-        out[p.image[d]] = _bits_of(relabel[bit_positions(bits)])
+        out[p.image[d]] = bits_of(relabel[bit_positions(bits)])
     return tuple(out)
 
 
@@ -313,11 +285,11 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
         check(line[1:2] == line[0], starts[:1], "bad dimension line")
         header = data[starts[0] : ends[0]].tobytes().decode()
         try:
-            n = int(header, 10)
-        except ValueError:
+            if not header.isdigit():  # int() would take a sign or '_'
+                raise ValueError
+            n = int(header)
+        except ValueError:  # or more digits than int() reads (4,300 by default)
             raise FormatError(f"bad dimension {header!r}") from None
-        if n < 0:
-            raise FormatError(f"dimension {n} must be non-negative")
         starts, ends, line = starts[1:], ends[1:], line[1:]
 
     # each line holds two tokens: pair them up and check the pairs' lines

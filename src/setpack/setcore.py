@@ -23,10 +23,28 @@ class FormatError(ValueError):
     """Raised when a collection or permutation file is malformed."""
 
 
+MAX_BITS = 1 << 32  # longest bit vector bits_of builds: 512 MiB packed
+
+
 def bit_positions(bits: int) -> np.ndarray:
     """Positions of the set bits of ``bits >= 0``, increasing, as int64."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _scatter(count: int, width: int, row: np.ndarray | int, positions: np.ndarray) -> np.ndarray:
+    """``count`` little-endian rows of ``width`` bytes, bit positions[i] of row[i] set by one bitwise_or.at."""
+    rows = np.zeros((count, width), np.uint8)
+    np.bitwise_or.at(rows.reshape(-1), row * width + (positions >> 3), np.left_shift(1, positions & 7).astype(np.uint8))
+    return rows
+
+
+def bits_of(positions: np.ndarray) -> int:
+    """Bit vector with bits ``positions >= 0`` set, any order, repeats allowed; refused unallocated past MAX_BITS."""
+    top = int(positions.max(initial=-1))
+    if top >= MAX_BITS:
+        raise MemoryError(f"a bit vector with bit {top} set is longer than {MAX_BITS} bits")
+    return int.from_bytes(_scatter(1, top // 8 + 1, 0, positions), "little")
 
 
 @dataclass(frozen=True)
@@ -99,11 +117,7 @@ class Incidence:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        width = 8 * ((self.n + 63) // 64)
-        rows = np.zeros((len(self.indptr) - 1, width), np.uint8)
-        at, bit = self.sets * width + (self.elements >> 3), np.left_shift(1, self.elements & 7)
-        np.bitwise_or.at(rows.reshape(-1), at, bit.astype(np.uint8))
-        return rows
+        return _scatter(len(self.indptr) - 1, 8 * ((self.n + 63) // 64), self.sets, self.elements)
 
 
 class Collection:

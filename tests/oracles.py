@@ -531,11 +531,11 @@ def naive_parse_cube_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     if not lines:
         raise FormatError("missing dimension header")
     try:
+        if not lines[0].isdecimal():  # int() would take a sign or '_'
+            raise ValueError
         n = int(lines[0], 10)
     except ValueError:
         raise FormatError(f"bad dimension {lines[0]!r}") from None
-    if n < 0:
-        raise FormatError(f"dimension {n} must be non-negative")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -693,7 +693,7 @@ def _subset_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     table = constituent_table(q, coeffs).tolist()
     blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in table)
     family = PackingFamily(used_n, blocks, alpha)
-    report = pack._certified_report(family, sub_trace, q, coeffs)
+    report = pack._certified_report(family, np.array([b.elements() for b in ordered[:q]]), q, coeffs)
     if not report.ok:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
     return family, LevelTrace(n, used_n, alpha, q, coeffs, len(blocks), report, sub_trace)

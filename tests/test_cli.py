@@ -352,6 +352,17 @@ def test_pack_no3_rs(rs361, tmp_path, capsys):
     assert out_file.read_text() == setcore.serialize_collection(col)
 
 
+def test_pack_no3_rs_is_checked_by_structure(rs361, monkeypatch, capsys):
+    # relative to the core the residues are the (128, 1/3) packing, whose
+    # structure certifies them; shifted past the core they have none
+    shifted = pack.parse_family(rs361.read_text(), Fraction(1, 3))
+    assert pack._structure_report(shifted) is None
+    reports, real = [], pack._structure_report
+    monkeypatch.setattr(pack, "_structure_report", lambda f: reports.append(real(f)) or reports[-1])
+    assert no3_rs(capsys, rs361, "--json")[0] == 0
+    assert len(reports) == 1 and reports[0] == naive_verify_packing(pack.construct_packing(128, Fraction(1, 3)))
+
+
 def test_pack_no3_rs_faults(rs361, tmp_path, capsys):
     lines = rs361.read_text().splitlines(keepends=True)
 
@@ -463,7 +474,9 @@ def test_cube_verify_malformed_dimensions(tmp_path, capsys, monkeypatch):
         ("40\n" + high_edge, 40, 2, "exceeds square-check limit"),
         ("1000000\n", 5, 3, "file is for Q_1000000, not Q_5"),
         ("40\n" + high_edge, 5, 3, "file is for Q_40, not Q_5"),
-        ("-3\n", 3, 3, "dimension -3"),
+        ("-3\n", 3, 3, "bad dimension '-3'"),  # the header is decimal digits only
+        ("+3\n", 3, 3, "bad dimension '+3'"),
+        ("1_0\n", 10, 3, "bad dimension '1_0'"),
     ):
         f.write_text(text)
         assert main(["cube", "verify", "--n", str(n), "--edges", str(f)]) == code

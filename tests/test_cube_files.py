@@ -228,16 +228,6 @@ def test_edges_span_parse_blocks(monkeypatch):
     assert parse_cube_edges(text) == m
 
 
-def test_bits_of_packs_block_by_block(monkeypatch):
-    rng = np.random.default_rng(4)
-    positions = rng.integers(0, 5000, 700)
-    expected = sum(1 << int(p) for p in set(positions.tolist()))
-    for block in (8, 64, 1 << 16):
-        monkeypatch.setattr(qcube, "_BLOCK", block)
-        assert qcube._bits_of(positions) == expected
-    assert qcube._bits_of(np.zeros(0, np.int64)) == 0
-
-
 def test_parse_holds_less_memory_than_the_oracle():
     text = serialize_cube_edges(recursive_blocking_set(14))
 

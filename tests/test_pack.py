@@ -405,18 +405,40 @@ def test_certificate_matches_exhaustive_check():
 def test_certificate_falls_back_when_the_witness_falls_short(monkeypatch):
     # sub-blocks 0,1 are disjoint but 0,2 meet: blocks 0 and 1 meet in
     # 2 < U = 2 + 1 points, and the pair (0, 2) reaches U
-    sub_fam = PackingFamily.of(4, [[0, 1], [2, 3], [0, 2]], Fraction(1))
-    sub = LevelTrace(4, 4, Fraction(1), None, (), 3, verify_packing(sub_fam), None)
-    bits = [b.bits for b in sub_fam.blocks]
-    fam = PackingFamily(8, tuple(Subset(8, bits[l] | bits[m] << 4) for l in range(3) for m in range(3)),
-                        Fraction(1))
+    subs = np.array([[0, 1], [2, 3], [0, 2]])
+    fam = _product_of(subs, 4)
     calls = []
     real = pack.verify_packing
     monkeypatch.setattr(pack, "verify_packing", lambda f: calls.append(f) or real(f))
-    rep = pack._certified_report(fam, sub, 3, ())
+    rep = pack._certified_report(fam, subs, 3, ())
     assert calls == [fam]
     assert rep == naive_verify_packing(fam)
     assert (rep.max_intersection, rep.worst_pair) == (3, (0, 2))
+
+
+def _product_of(subs, p):
+    """The two-part product family over the sub-blocks subs of [0, p):
+    block (l, m) takes sub-block l, then sub-block m shifted by p."""
+    bits = [sum(1 << int(x) for x in row) for row in subs]
+    q = len(bits)
+    return PackingFamily(2 * p, tuple(Subset(2 * p, bits[l] | bits[m] << p) for l in range(q) for m in range(q)),
+                         Fraction(1))
+
+
+def test_certificate_bound_comes_from_the_sub_blocks_it_takes(monkeypatch):
+    # the sub-level's fourth sub-block in lexicographic order, [2, 3, 5], meets
+    # [1, 3, 5] in 2 points; the first q = 3, which the level takes, meet
+    # pairwise in 1, so U = 3 + 1 = 4, which blocks 0 and 1 reach: the
+    # witness gives the report
+    sub_level = np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 3, 5]])
+    assert pack._max_pair(sub_level, 6)[0] == 2
+    subs = sub_level[:3]
+    assert pack._max_pair(subs, 6)[0] == 1
+    fam = _product_of(subs, 6)
+    monkeypatch.setattr(pack, "verify_packing", lambda f: pytest.fail("the witness fell short"))
+    rep = pack._certified_report(fam, subs, 3, ())
+    assert rep == naive_verify_packing(fam)
+    assert (rep.max_intersection, rep.worst_pair) == (4, (0, 1))
 
 
 def test_product_levels_skip_the_exhaustive_check(monkeypatch):
@@ -723,7 +745,7 @@ def test_self_checks_raise(monkeypatch, capsys):
     # fails the build's certificate, not a "no"
     certified = pack._certified_report
     monkeypatch.setattr(pack, "_certified_report",
-                        lambda family, sub, q, coeffs: certified(family, sub, q, coeffs[:1] * len(coeffs)))
+                        lambda family, subs, q, coeffs: certified(family, subs, q, coeffs[:1] * len(coeffs)))
     assert main(["pack", "build", "--n", "28", "--alpha", "1/2"]) == 4
     assert "internal error: constructed family fails its certificate: coefficients (2, 2) are not distinct" \
         in capsys.readouterr().err

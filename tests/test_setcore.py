@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from setpack import (
@@ -14,7 +16,7 @@ from setpack import (
     serialize_collection,
     serialize_permutation,
 )
-from setpack.setcore import FormatError
+from setpack.setcore import MAX_BITS, FormatError, bit_positions, bits_of
 
 from oracles import identity_permutation
 
@@ -165,3 +167,35 @@ def test_permutation_file_roundtrip():
         parse_permutation("0 0 1\n")
     with pytest.raises(FormatError):
         parse_permutation("0 1\n2 3\n")
+
+
+def test_bits_of_scatters_positions_in_any_order():
+    rng = np.random.default_rng(4)
+    positions = rng.integers(0, 5000, 700)  # unsorted, with repeats
+    expected = sum(1 << int(p) for p in set(positions.tolist()))
+    assert bits_of(positions) == expected
+    assert bits_of(positions[::-1].copy()) == expected
+    assert bit_positions(expected).tolist() == sorted(set(positions.tolist()))
+    assert bits_of(bit_positions(expected)) == expected  # the round trip
+    for edge in ([0], [7], [8], [63], [64], [0, 7, 8, 8, 0]):  # byte and word edges
+        assert bits_of(np.array(edge)) == sum(1 << p for p in set(edge))
+    assert bits_of(np.zeros(0, np.int64)) == 0
+
+
+def test_bits_of_shares_the_record_rows_scatter():
+    c = Collection.of(130, [[129, 3, 64], [], [0, 7, 8, 63]])
+    rows = c.incidence.rows
+    assert [int.from_bytes(r, "little") for r in rows] == [s.bits for s in c.sets]
+    assert [bits_of(c.incidence.elements[a:b]) for a, b in zip(c.incidence.indptr, c.incidence.indptr[1:])] \
+        == [s.bits for s in c.sets]
+
+
+def test_bits_of_refuses_a_vector_past_max_bits_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"bit {MAX_BITS} set is longer than {MAX_BITS} bits"):
+            bits_of(np.array([5, MAX_BITS, 3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
