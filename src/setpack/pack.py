@@ -307,13 +307,13 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
         p = sub_family.n
         sub = sub_family.incidence.elements.reshape(sub_family.m, -1)
         ordered = sub[np.lexsort(sub.T[::-1])]  # the sub-blocks in lexicographic order
-        q = _largest_prime_at_most(len(ordered))
-        if q is None or q <= parts:
+        prime = _largest_prime_at_most(len(ordered))
+        if prime is None or prime <= parts:
             # no usable prime: stop the recursion here and hand back the
             # sub-family, which satisfies the stricter alpha/2 and hence alpha
-            kind, family, q = "fallback", PackingFamily(p, sub_family.incidence, alpha), None
+            kind, family = "fallback", PackingFamily(p, sub_family.incidence, alpha)
         else:
-            coeffs = tuple(j - 1 for j in range(3, parts + 1))
+            q, coeffs = prime, tuple(j - 1 for j in range(3, parts + 1))
             points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
             points += (np.arange(parts) * p)[:, None]
             record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))
