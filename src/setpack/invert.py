@@ -6,16 +6,16 @@ once.  Invertibility is equivalent to a perfect matching in the conflict
 graph: two copies of the ground set, with (i, j) an edge iff no member
 set contains both i and j.  A perfect matching read as i -> match[i] is
 exactly an inverting permutation, and a failed matching yields a Hall
-violator certificate (a left set I with |N(I)| < |I|).  The certificate
-comes from the alternating-path walk that also gives König's minimum
-vertex cover (``alternating_reach``, shared with the hypercube doubling).
+violator certificate (a left set I with |N(I)| < |I|), read off the
+alternating-path walk ``alternating_reach``.
 
 That walk is the only breadth-first search here: each of its layers is
 one OR of bit-vector adjacency rows, so a dense row costs a few word
 operations, not one step per neighbour.  The matching is Hopcroft-Karp:
 each phase takes its layers from the walk, and the augmenting search
 keeps one untried right mask per layer, so a right vertex is tried at
-most once per phase.
+most once per phase.  Bit-vector rows suit the dense conflict graphs;
+the cube doubling's sparse residual graphs use index rows (``qcube``).
 """
 from __future__ import annotations
 
@@ -149,9 +149,7 @@ def alternating_reach(
     the first layer that meets the free right vertices ``stop``; reaching
     any other free right vertex raises.  Started from free left vertices of
     a maximum matching with no ``stop``, every reached right vertex is
-    matched, so the union of the layers is exactly N(left): the left side
-    of König's cover is everything outside ``left``, the right side is
-    that union.
+    matched back into ``left``, so the layers partition N(left).
     """
     frontier = list(starts)
     left = 0

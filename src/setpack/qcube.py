@@ -10,11 +10,12 @@ block their copies and the endpoints of W' form a vertex cover of the
 edges of Q_n left uncovered by N' and the pullback of N''.
 
 The doubling construction takes N'' to be a mirror (or a direction-
-permuted mirror) of N' and picks W' from a minimum vertex cover obtained
-via maximum matching on the residual graph.  Permuting directions so that
-the scarce non-N' directions at heavily covered vertices move off
-themselves is exactly a set-inversion problem, which the assisted variant
-hands to the derandomized inverting search.
+permuted mirror) of N' and picks W' from König's minimum vertex cover of
+the residual graph, which is the same for every maximum matching: a
+label-order greedy on index rows, completed by alternating walks.
+Permuting directions so that the scarce non-N' directions at heavily
+covered vertices move off themselves is exactly a set-inversion problem,
+which the assisted variant hands to the derandomized inverting search.
 """
 from __future__ import annotations
 
@@ -23,13 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .invert import alternating_reach, max_bipartite_matching
 from .kappa import find_simple_permutation
 from .setcore import Collection, FormatError, Incidence, Permutation, bit_positions, bits_of, read_decimals, scan_tokens
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
-# under 10 s: 5.3 s at n = 18, 19.5 s at n = 19 (2-core VM).
-DEFAULT_SQUARE_LIMIT = 18
+# under 10 s and 1 GB: 7.0 s, 569 MB at n = 20; 14.7 s, 1,128 MB at n = 21 (2-core VM).
+DEFAULT_SQUARE_LIMIT = 20
 
 
 def _clear(d: int, width: int) -> int:
@@ -106,38 +106,64 @@ def is_square_blocking(m: CubeEdgeSet, limit: int = DEFAULT_SQUARE_LIMIT) -> boo
     return True
 
 
-def _residual_graph(residual: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _index_rows(residual: Sequence[int]) -> tuple[np.ndarray, list[int], list[int]]:
     """The Q_n edges whose per-direction bit vectors are ``residual``, as a
-    bipartite graph by label parity: the sorted even and odd endpoints, and
-    for each even one the bit mask of its odd neighbours' indices."""
-    lo = [bit_positions(bits) for bits in residual]
-    hi = [v | 1 << d for d, v in enumerate(lo)]
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    bipartite graph by label parity: the sorted even endpoints, and the odd
+    neighbours of the i-th as the increasing labels ``cols[ptr[i]:ptr[i + 1]]``."""
+    n = len(residual)
+    lo = np.concatenate([bit_positions(bits) for bits in residual])
+    hi = lo | np.repeat(1 << np.arange(n), [bits.bit_count() for bits in residual])
     odd = _parity(lo)  # lo and hi differ in one bit, so exactly one of them is even
-    evens, even_at = np.unique(np.where(odd, hi, lo), return_inverse=True)
-    odds, odd_at = np.unique(np.where(odd, lo, hi), return_inverse=True)
-    adj = [0] * len(evens)
-    for i, j in zip(even_at.tolist(), odd_at.tolist()):
-        adj[i] |= 1 << j
-    return evens, odds, adj
+    key = np.sort(np.where(odd, hi << n | lo, lo << n | hi))  # (even end, odd end) pairs in order
+    count = np.bincount(key >> n, minlength=1 << n)
+    evens = np.flatnonzero(count)
+    return evens, [0, *np.cumsum(count[evens]).tolist()], (key & (1 << n) - 1).tolist()
+
+
+def _alternating_walk(ptr: list[int], cols: list[int], match_l: list[int], match_r: list[int]) -> list[int] | None:
+    """Breadth-first alternating walk over index rows from the free even
+    vertices, out along any edge and back along a matched one.  It flips the
+    path to the first free odd vertex it meets and returns None; if none,
+    it returns per odd label the even vertex it came from (-1: unreached)."""
+    parent, starts = [-1] * len(match_r), [i for i, j in enumerate(match_l) if j < 0]
+    while starts:
+        reached = []
+        for i in starts:
+            for j in cols[ptr[i] : ptr[i + 1]]:
+                if parent[j] < 0:
+                    parent[j] = i
+                    if match_r[j] < 0:
+                        while j >= 0:  # back to the free start
+                            i = parent[j]
+                            match_l[i], match_r[j], j = j, i, match_l[i]
+                        return None
+                    reached.append(match_r[j])
+        starts = reached
+    return parent
 
 
 def _min_vertex_cover(residual: Sequence[int]) -> int:
     """Minimum vertex cover, as a vertex bit mask, of the Q_n edges whose
     per-direction bit vectors are ``residual``, by matching duality.
 
-    Q_n is bipartite by label parity; from a maximum matching, the cover
-    is (even side minus the alternating-reachable set) plus (odd side
-    intersected with it), and its size equals the matching size.
+    Each even vertex, in label order, takes its first free odd neighbour;
+    walks flip augmenting paths until one meets none.  That walk reaches
+    the evens some maximum matching leaves free (Dulmage-Mendelsohn), so
+    König's cover, its unreached evens and reached odds, is canonical.
     """
-    evens, odds, adj = _residual_graph(residual)
-    match_l, match_r = max_bipartite_matching(adj, len(odds))
-    free = [i for i, x in enumerate(match_l) if x == -1]
-    reach_l, layers = alternating_reach(adj, match_r, free)
-    reach_r = sum(layers)  # the layers are disjoint
-    unreached = bit_positions(~reach_l & ((1 << len(evens)) - 1))
-    cover = bits_of(np.concatenate([evens[unreached], odds[bit_positions(reach_r)]]))
-    if cover.bit_count() != len(evens) - len(free):
+    evens, ptr, cols = _index_rows(residual)
+    match_l, match_r = [-1] * len(evens), [-1] * (1 << len(residual))
+    for i in range(len(evens)):
+        for j in cols[ptr[i] : ptr[i + 1]]:
+            if match_r[j] < 0:
+                match_l[i], match_r[j] = j, i
+                break
+    parent = None
+    while parent is None:
+        parent = _alternating_walk(ptr, cols, match_l, match_r)
+    reached, matched = np.array(parent, np.int64) >= 0, np.array(match_l, np.int64)
+    cover = bits_of(np.concatenate([evens[(matched >= 0) & ~reached[matched]], np.flatnonzero(reached)]))
+    if cover.bit_count() != np.count_nonzero(matched >= 0):
         raise RuntimeError("cover size differs from the matching size")
     for d, bits in enumerate(residual):
         if bits & ~(cover | cover >> (1 << d)):

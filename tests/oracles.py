@@ -14,8 +14,10 @@ naive_max_bipartite_matching with naive_alternating_reach, the layered
 matching with its per-neighbour queue BFS and recursive DFS, and the
 alternating walk returning (left, right) masks; and the cube edge file's
 line-by-line parser naive_parse_cube_edge_list, its tuple-sorting writer
-naive_serialize_cube_edges and naive_residual_graph, the comprehension-
-built index maps of the cube doubling's vertex cover; and the collection
+naive_serialize_cube_edges and naive_min_vertex_cover, the cube doubling's
+König cover as the library first built it: naive_residual_graph, the
+comprehension-built bitmask rows, matched by naive_max_bipartite_matching
+and walked by naive_alternating_reach; and the collection
 file's token-by-token parser naive_parse_collection, its line-joining
 writer naive_serialize_collection, the permutation file's token-by-token
 parser naive_parse_permutation, the per-bit naive_conflict_graph and
@@ -573,6 +575,18 @@ def naive_residual_graph(residual) -> tuple[list[int], list[int], list[int]]:
     for u, w in pairs:
         adj[even_index[u]] |= 1 << odd_index[w]
     return evens, odds, adj
+
+
+def naive_min_vertex_cover(residual) -> int:
+    """König's minimum vertex cover, as a vertex bit mask, of the residual
+    Q_n edges: the even vertices the alternating walk from the free ones of
+    a maximum matching does not reach, and the odd vertices it reaches."""
+    evens, odds, adj = naive_residual_graph(residual)
+    match_l, match_r = naive_max_bipartite_matching(adj, len(odds))
+    left, right = naive_alternating_reach(adj, match_r, [i for i, j in enumerate(match_l) if j == -1])
+    return sum(1 << v for i, v in enumerate(evens) if not left >> i & 1) + sum(
+        1 << v for j, v in enumerate(odds) if right >> j & 1
+    )
 
 
 def _data_lines(text: str):

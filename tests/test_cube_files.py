@@ -1,4 +1,4 @@
-"""The array parser, writer and cover index maps of setpack.qcube against
+"""The array parser, writer and vertex cover of setpack.qcube against
 their line-by-line originals in oracles.py."""
 import random
 import re
@@ -11,18 +11,17 @@ from setpack import qcube
 from setpack.qcube import (
     CubeEdgeSet,
     _min_vertex_cover,
-    _residual_graph,
     inversion_assisted_blocking,
     parse_cube_edge_list,
     parse_cube_edges,
     recursive_blocking_set,
     serialize_cube_edges,
 )
-from setpack.setcore import FormatError
+from setpack.setcore import FormatError, bit_positions
 
 from oracles import (
+    naive_min_vertex_cover,
     naive_parse_cube_edge_list,
-    naive_residual_graph,
     naive_serialize_cube_edges,
 )
 
@@ -30,17 +29,19 @@ from oracles import (
 @pytest.fixture(scope="module")
 def built():
     """Every plain and assisted blocking set for n = 2..16, and every
-    distinct residual their doublings cover, keyed by the dimension built."""
-    residuals = {}
+    distinct residual their doublings cover, keyed by the dimension built
+    and "plain" or "assisted"."""
+    residuals, kind = {}, ["plain"]
     cover = qcube._min_vertex_cover
 
     def record(residual):
-        residuals.setdefault(tuple(residual), len(residual) + 1)
+        residuals.setdefault(tuple(residual), (len(residual) + 1, kind[0]))
         return cover(residual)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcube, "_min_vertex_cover", record)
         sets = [recursive_blocking_set(n) for n in range(2, 17)]
+        kind[0] = "assisted"
         sets += [inversion_assisted_blocking(n)[0] for n in range(3, 17)]
     return sets, residuals
 
@@ -65,25 +66,62 @@ def test_files_match_the_oracle_writer_and_parser(built):
 
 def test_residual_graphs_and_covers_match_the_oracle(built, monkeypatch):
     _, residuals = built
-    doubled = [r for r, n in residuals.items() if n <= 14]
-    assert {residuals[r] for r in doubled} == set(range(3, 15))
+    doubled = [r for r, (n, _) in residuals.items() if n <= 14]
+    assert {residuals[r] for r in doubled} == {(n, kind) for n in range(3, 15) for kind in ("plain", "assisted")}
     rng = random.Random(9)
     drawn = []
     for _ in range(300):
         n = rng.randrange(2, 9)
         edges = [(v, d) for v in range(1 << n) for d in range(n) if not v >> d & 1 and rng.random() < 0.3]
         drawn.append(CubeEdgeSet.of(n, edges).dirs)
+    flips, walk = [], qcube._alternating_walk
+
+    def counted(*rows):
+        parent = walk(*rows)
+        flips[-1] += parent is None
+        return parent
+
+    monkeypatch.setattr(qcube, "_alternating_walk", counted)
     for residual in doubled + drawn:
-        evens, odds, adj = _residual_graph(residual)
-        assert (evens.tolist(), odds.tolist(), adj) == naive_residual_graph(residual)
-    # so the covers are the ones built from the oracle's maps
-    covers = [_min_vertex_cover(r) for r in doubled + drawn]
-    monkeypatch.setattr(
-        qcube,
-        "_residual_graph",
-        lambda r: (lambda e, o, a: (np.array(e, np.int64), np.array(o, np.int64), a))(*naive_residual_graph(r)),
-    )
-    assert covers == [_min_vertex_cover(r) for r in doubled + drawn]
+        flips.append(0)
+        assert _min_vertex_cover(residual) == naive_min_vertex_cover(residual)
+    # the label-order greedy is already maximum on every constructed residual,
+    # and the drawn ones still run the augmenting branch
+    assert not any(flips[: len(doubled)])
+    assert any(flips[len(doubled) :])
+
+
+def test_cover_sizes_match_scipy(built):
+    pytest.importorskip("scipy")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    _, residuals = built
+    large = [r for r, (n, _) in residuals.items() if n >= 15]
+    assert len(large) == 4
+    for residual in large:
+        lo = np.concatenate([bit_positions(bits) for bits in residual])
+        hi = np.concatenate([bit_positions(bits) | 1 << d for d, bits in enumerate(residual)])
+        odd = np.bitwise_count(lo) & 1 == 1
+        even_end, odd_end = np.where(odd, hi, lo), np.where(odd, lo, hi)
+        size = 1 << len(residual)
+        graph = csr_matrix((np.ones(len(lo), np.int8), (even_end, odd_end)), shape=(size, size))
+        matched = maximum_bipartite_matching(graph, perm_type="column")
+        assert _min_vertex_cover(residual).bit_count() == np.count_nonzero(matched >= 0)
+
+
+def test_cover_memory_stays_linear(built):
+    # index rows grow with the edges: about 10 MB here, where one bit mask
+    # per even vertex, as wide as the odd side, took 35 MB
+    _, residuals = built
+    (residual,) = [r for r, key in residuals.items() if key == (16, "plain")]
+    tracemalloc.start()
+    try:
+        _min_vertex_cover(residual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 # Mutations of a valid file, one per kind of input the format allows or

@@ -158,12 +158,18 @@ def test_self_checks_raise(monkeypatch):
     with pytest.raises(RuntimeError):
         inversion_assisted_blocking(4)
     monkeypatch.undo()
-    # a matching that is not maximum leaves a free vertex reachable
-    monkeypatch.setattr(
-        qcube, "max_bipartite_matching", lambda adj, n_right: ([-1] * len(adj), [-1] * n_right)
-    )
-    with pytest.raises(RuntimeError):
-        _min_vertex_cover((1, 0))
+    # the edges {0, 1}, {0, 2} and {1, 3}: the greedy matches 0 to 1 and
+    # leaves 3 free, so the walk flips 3-1-0-2 and both evens are the cover
+    residual = (1, 3)
+    assert _min_vertex_cover(residual) == 0b1001
+    # a walk that reaches 1 and the free vertex 2 without flipping the path
+    monkeypatch.setattr(qcube, "_alternating_walk", lambda ptr, cols, match_l, match_r: [-1, 1, 0, -1])
+    with pytest.raises(RuntimeError, match="size differs"):
+        _min_vertex_cover(residual)
+    # a walk that reaches nothing from the free vertex 3
+    monkeypatch.setattr(qcube, "_alternating_walk", lambda ptr, cols, match_l, match_r: [-1] * 4)
+    with pytest.raises(RuntimeError, match="misses a residual edge"):
+        _min_vertex_cover(residual)
 
 
 def test_recursive_blocking_sizes_and_validity():
