@@ -68,7 +68,8 @@ def exact_int_output():
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become surrogates, which the parsers' ASCII checks refuse (exit 3)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 

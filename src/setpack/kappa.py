@@ -162,40 +162,18 @@ def _lambda_row(f: int, umax: int) -> list[int]:
     return row + [0] * (umax - h)
 
 
-def _limbs(weights: list[int], width: int) -> np.ndarray:
-    """int64 (len(weights), L) digits of the weights in base 2^width: every
-    digit but the last in [0, 2^width), the last signed in [-2^width, 2^width)."""
-    count = max(1, -(-max(map(abs, weights), default=0).bit_length() // width))
-    if count == 1:
-        return np.array(weights, dtype=np.int64).reshape(-1, 1)
-    digits = np.empty((len(weights), count), dtype=np.int64)
-    rest = np.array(weights, dtype=object)
-    for l in range(count - 1):
-        digits[:, l] = rest & ((1 << width) - 1)
-        rest = rest >> width
-    digits[:, count - 1] = rest
-    return digits
-
-
-def _first_max(scores: np.ndarray, width: int) -> tuple[int, int]:
-    """Index and value of the first maximum of the numbers
-    sum_l scores[:, l] << (width * l).  The carries are normalised in
-    place so that every limb but the top one lies in [0, 2^width); the
-    numbers then compare as their limb tuples, top limb first."""
-    if scores.shape[1] == 1:
-        i = int(scores[:, 0].argmax())
-        return i, int(scores[i, 0])
-    for l in range(scores.shape[1] - 1):
-        scores[:, l + 1] += scores[:, l] >> width
-        scores[:, l] &= (1 << width) - 1
-    idx = np.arange(len(scores))
-    for l in reversed(range(scores.shape[1])):
-        col = scores[idx, l]
-        idx = idx[col == col.max()]
-        if len(idx) == 1:
-            break
-    i = int(idx[0])
-    return i, sum(int(v) << (width * l) for l, v in enumerate(scores[i].tolist()))
+def _first_max(rows: np.ndarray, weights: list[int], width: int) -> tuple[int, int]:
+    """Index and value of the first maximum of rows @ weights, exactly: the
+    top-limb filter of find_simple_permutation, then exact rescoring."""
+    shift = max(0, max(map(abs, weights), default=0).bit_length() - width)
+    top = rows @ np.array([w >> shift for w in weights], dtype=np.int64)
+    if shift == 0:
+        i = int(top.argmax())
+        return i, int(top[i])
+    near = np.flatnonzero(top + rows.sum(axis=1) >= top.max())
+    exact = (rows[near].astype(object) @ np.array(weights, dtype=object)).tolist()
+    j = exact.index(max(exact))
+    return int(near[j]), exact[j]
 
 
 def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
@@ -221,33 +199,35 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     One bincount over the (set, element) pairs of live sets and free
     elements fills cnt for every candidate at once; pairs of dead sets and
     taken points are dropped after each step, so the bincount shrinks as
-    the search goes on.  A step costs O(P + f * k * L) for P live pairs,
-    k <= 2 (s + 1) classes (s the largest set size) and L limbs (below),
-    instead of O(f * m) set visits.  The fixed-point branch is
+    the search goes on.  A step costs O(P + f * k) for P live pairs and
+    k <= 2 (s + 1) classes (s the largest set size), plus the rescoring
+    below, instead of O(f * m) set visits.  The fixed-point branch is
     sum_class N_class * lambda_simple(f - 1, u) over the classes with a
     not in S.
 
-    Exact scoring in int64 limbs.  The weights are divided by their gcd g
-    (1 when all are zero), which keeps the argmax and its ties, and the
-    reduced weights are split into signed int64 limbs of `width` bits.  A
-    class count is at most m, so with m * 2^width < 2^62 no limb product,
-    sum or carry wraps: one int64 matrix product scores every candidate,
-    the carries are normalised and a lexicographic argmax keeps the first
-    maximum.  The chosen numerator is rebuilt as an exact Python integer,
-    base + g * score.  Only the lambda rows f, f - 1 and f - 2 a step reads
-    are built (`_lambda_row`), up to the largest live u; the denominators
-    are sigma(f).
+    Exact scoring by the top limb.  The weights are divided by their gcd g
+    (1 when all are zero), which keeps the argmax and its ties.  With
+    shift = max(0, bit length of the largest |w| - width), one int64
+    matrix product scores b by the top limbs hi = w >> shift: H_b cannot
+    wrap, as b is in held_b <= m live sets and m * 2^width < 2^62, and
+    b's exact score lies in [2^shift * H_b, 2^shift * (H_b + held_b)).
+    `_first_max` rescores the b with H_b + held_b >= max H in Python
+    integers and keeps the first exact maximum.  The gcd stays: on
+    tie-heavy inputs every tied b passes the filter, and wider weights
+    make more steps rescore them.  The numerator is base + g * score.
+    Only the lambda rows f, f - 1 and f - 2 a step reads are built
+    (`_lambda_row`), up to the largest live u; the denominators are sigma(f).
 
     The chosen branch's expectation never drops below the pre-branch
     expectation (the branches partition the uniform measure); this is
     checked at every step, which makes the returned count >= the ceiling
     of the profile bound unconditionally.  Either check failing raises
-    RuntimeError.  A collection too large for any limb width (m >= 2^60)
-    raises ValueError.
+    RuntimeError.  A collection too large for a top limb of two bits
+    (m >= 2^60) raises ValueError.
     """
     n = c.n
     m = c.m
-    # m * 2^width < 2^62 bounds every limb sum; width >= 2 keeps the carries below 2^63
+    # m * 2^width < 2^62 bounds every top-limb score; m >= 2^60 leaves under two bits
     width = 62 - m.bit_length()
     if width < 2:
         raise ValueError(f"{m} sets leave no int64 limb width for exact scoring")
@@ -293,13 +273,12 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
                 for u, a_in, _ in groups
             ]
             g = gcd(*weights) or 1
-            limbs = _limbs([w // g for w in weights], width)
             col_of[keys] = np.arange(len(keys))
             at = col_of[cls[ps]]  # in place: the pair arrays dominate memory
             at += pe * len(keys)
             cnt = np.bincount(at, minlength=n * len(keys)).reshape(n, len(keys))
             cand = free[1:]
-            i, score = _first_max(cnt[cand] @ limbs, width)
+            i, score = _first_max(cnt[cand], [w // g for w in weights], width)
             best_b, best_num = cand[i], base + g * score
         if f % 2 == 1:
             lam = _lambda_row(f - 1, umax)

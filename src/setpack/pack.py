@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import ceil, comb, isqrt
 import re
 
 import numpy as np
@@ -267,7 +267,7 @@ def constituent_table(q: int, coeffs) -> np.ndarray:
 
 
 def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def _largest_prime_at_most(x: int) -> int | None:

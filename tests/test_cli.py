@@ -54,6 +54,33 @@ def test_invert_bad_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invert", "--input"], "collection files are ASCII"),
+        (["kappa", "--input"], "collection files are ASCII"),
+        (["triple", "--input"], "collection files are ASCII"),
+        (["pack", "verify", "--alpha", "1/2", "--input"], "collection files are ASCII"),
+        (["pack", "no3", "--n", "240", "--k", "6", "--rs"], "collection files are ASCII"),
+        (["cube", "verify", "--n", "2", "--edges"], "cube edge files are ASCII"),
+    ],
+    ids=["invert", "kappa", "triple", "pack-verify", "pack-no3-rs", "cube-verify"],
+)
+def test_file_that_is_not_utf8_exits_3(argv, message, tmp_path, capsys):
+    # a malformed input file, not a usage error
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"2\n0 0\n\xff\n" if argv[0] == "cube" else b"4\n0 1\n\xff\n")
+    assert main(argv + [str(f)]) == 3
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_pack_verify_header_of_a_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"# packing alpha=1/2\n4\n0 1\n\xff\n")
+    assert main(["pack", "verify", "--input", str(f)]) == 3
+    assert "input error: collection files are ASCII" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["definitely-not-a-command"])

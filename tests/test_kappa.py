@@ -231,22 +231,30 @@ def test_lambda_row_recurrence():
         assert kappa._lambda_row(f, 26) == [lambda_simple(f, u) for u in range(27)], f
 
 
-def test_first_max_over_limbs_is_exact():
-    # signed multi-limb weights, many tied candidates: value and first maximum
+def test_first_max_top_limb_filter_is_exact():
+    # signed weights wider than the limb, top limbs that tie while the low
+    # bits decide, empty rows, every score twice: first maximum and value
     rng = random.Random(16)
-    for trial in range(60):
+    branches = set()
+    for trial in range(90):
         width = rng.choice([2, 5, 17, 52])
-        bits = rng.choice([1, width, 3 * width + 1, 300])
-        weights = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 9))]
-        if trial % 3 == 0:
-            weights[-1] = -(1 << bits)  # the most negative top digit
-        cnt = np.array(
-            [[rng.randint(0, 3) for _ in weights] for _ in range(rng.randint(1, 7))]
-        )
-        cnt = np.repeat(cnt, 2, axis=0)  # every score occurs twice
-        exact = [sum(int(k) * w for k, w in zip(row, weights)) for row in cnt]
-        i, value = kappa._first_max(cnt @ kappa._limbs(weights, width), width)
-        assert (i, value) == (exact.index(max(exact)), max(exact))
+        k = rng.randint(1, 9)
+        if trial % 3 == 0:  # one top limb; only the low bits differ
+            bits = rng.choice([width, 3 * width + 1, 300])
+            sign = rng.choice([-1, 1])
+            weights = [sign * ((1 << bits) + rng.getrandbits(bits + 1 - width)) for _ in range(k)]
+        else:
+            bits = rng.choice([1, width, 3 * width + 1, 300])
+            low = 1 if trial % 3 == 1 else -(1 << bits)  # all negative, or signed
+            weights = [-rng.randint(low, 1 << bits) for _ in range(k)]
+            weights[-1] = -(1 << bits)  # the most negative top limb
+        cnt = [[rng.randint(0, 3) for _ in weights] for _ in range(rng.randint(1, 7))]
+        cnt.insert(rng.randint(0, len(cnt)), [0] * k)  # a row holding no set
+        cnt = np.repeat(np.array(cnt), 2, axis=0)  # every score occurs twice
+        exact = [sum(int(c) * w for c, w in zip(row, weights)) for row in cnt]
+        assert kappa._first_max(cnt, weights, width) == (exact.index(max(exact)), max(exact))
+        branches.add(max(map(abs, weights)).bit_length() > width)
+    assert branches == {False, True}
 
 
 def _sized_collection(seed: int, n: int, m: int, largest: int) -> Collection:
@@ -257,23 +265,38 @@ def _sized_collection(seed: int, n: int, m: int, largest: int) -> Collection:
 
 
 def test_find_simple_matches_count_table_search(monkeypatch):
-    limbs, limb_shapes = kappa._limbs, set()
+    first_max, scored = kappa._first_max, set()
 
-    def spy(weights, width):
-        digits = limbs(weights, width)
-        limb_shapes.add((width, digits.shape[1]))
-        return digits
+    def spy(rows, weights, width):
+        scored.add((width, max(map(abs, weights), default=0).bit_length() > width))
+        return first_max(rows, weights, width)
 
-    monkeypatch.setattr(kappa, "_limbs", spy)
+    monkeypatch.setattr(kappa, "_first_max", spy)
     cases = [(seed, n, 5 * n, n // 8) for n in (120, 121, 200, 201) for seed in (1, 2)]
-    cases += [(3, 250, 600, 125), (4, 40, 1 << 14, 3)]  # several limbs; a narrower limb
+    cases += [(3, 250, 600, 125), (4, 40, 1 << 14, 3)]  # wide weights; a narrower limb
     for case in cases:
         c = _sized_collection(*case)
         p, count = find_simple_permutation(c)
         q, expected = count_table_find_simple_permutation(c)
         assert p.image == q.image and count == expected, case
-    assert max(count for _, count in limb_shapes) > 1
-    assert min(width for width, _ in limb_shapes) < 62 - (5 * 201).bit_length()
+    assert {filtered for _, filtered in scored} == {False, True}
+    assert min(width for width, _ in scored) < 62 - (5 * 201).bit_length()
+
+
+def test_find_simple_matches_count_table_search_on_ties():
+    # many candidates tie; with wide sets added, some steps need the top-limb filter
+    rng = random.Random(17)
+    for n in (40, 41, 120, 121):
+        wide = [rng.sample(range(n), rng.randint(n // 8, n // 2)) for _ in range(n // 10)]
+        for sets in (
+            [[i] for i in range(n)],
+            [[i, (i + 1) % n] for i in range(n)],
+            [list(range(j, min(j + 10, n))) for j in range(0, n, 10)],
+        ):
+            for c in (Collection.of(n, sets), Collection.of(n, sets + wide)):
+                p, count = find_simple_permutation(c)
+                q, expected = count_table_find_simple_permutation(c)
+                assert p.image == q.image and count == expected, (n, c.m)
 
 
 def test_find_simple_refuses_collections_too_large_for_limbs():
