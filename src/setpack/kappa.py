@@ -151,12 +151,23 @@ def exhaustive_kappa(
 _FIXED = -1  # virtual partner: anchor stays a fixed point
 
 
-def _lambda_row(f: int, umax: int) -> list[int]:
-    """[lambda_simple(f, u) for u in 0 .. umax], built by the recurrence
-    lambda(f, u+1) = lambda(f, u) * 2(h-u) / (f-u), h = floor(f/2): one
-    small multiplication and one exact division per entry, zero past h."""
+def _sigma_row(n: int) -> list[int]:
+    """[sigma(f) for f in 0 .. n], built by the recurrence sigma(f) =
+    f * sigma(f-1) for odd f and sigma(f-1) for even f: one multiplication
+    per odd entry."""
+    row = [1]
+    for f in range(1, n + 1):
+        row.append(row[-1] * f if f % 2 else row[-1])
+    return row
+
+
+def _lambda_row(f: int, umax: int, first: int) -> list[int]:
+    """[lambda_simple(f, u) for u in 0 .. umax] from first = lambda_simple(f,
+    0) = sigma(f), built by the recurrence lambda(f, u+1) = lambda(f, u) *
+    2(h-u) / (f-u), h = floor(f/2): one small multiplication and one exact
+    division per entry, zero past h."""
     h = f // 2
-    row = [lambda_simple(f, 0)]
+    row = [first]
     for u in range(min(umax, h)):
         row.append(row[-1] * (2 * (h - u)) // (f - u))
     return row + [0] * (umax - h)
@@ -234,7 +245,7 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     inc = c.incidence
     sizes = np.diff(inc.indptr)
     classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
-    sig = [sigma(f) for f in range(n + 1)]
+    sig = _sigma_row(n)
 
     # (set, element) pairs of live sets and free elements, grouped by element
     order = np.argsort(inc.elements, kind="stable")
@@ -258,14 +269,14 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
         keys = np.flatnonzero(present)
         groups = [(k >> 1, k & 1, int(present[k])) for k in keys.tolist()]
         umax = groups[-1][0] if groups else 0
-        lam = _lambda_row(f, umax)
+        lam = _lambda_row(f, umax, sig[f])
         pre_num = sum(size * lam[u] for u, _, size in groups)
 
         best_b = None
         best_num = -1
         best_f2 = f - 2
         if f >= 2:
-            lam = _lambda_row(f - 2, umax)
+            lam = _lambda_row(f - 2, umax, sig[f - 2])
             base = sum(size * lam[u - a_in] for u, a_in, size in groups)
             # b in S turns lam(f2, u - [a in S]) into lam(f2, u - 1), or kills S
             weights = [
@@ -281,7 +292,7 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
             i, score = _first_max(cnt[cand], [w // g for w in weights], width)
             best_b, best_num = cand[i], base + g * score
         if f % 2 == 1:
-            lam = _lambda_row(f - 1, umax)
+            lam = _lambda_row(f - 1, umax, sig[f - 1])
             num = sum(size * lam[u] for u, a_in, size in groups if not a_in)
             # different denominator: compare num/sig[f-1] with best/sig[f-2]
             if best_b is None or num * sig[f - 2] > best_num * sig[f - 1]:

@@ -13,8 +13,11 @@ block (l, m) takes sub-block l from part 1, m from part 2 and
 (l + (j-1) m) mod q from part j >= 3.  Distinct index pairs agree in at
 most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
-A product level is certified by that proof and a check of its q sub-blocks,
-a family file by its blocks' structure; others are checked pair by pair.
+A product level is certified by that proof and a check of its q sub-blocks.
+So is a family file in the construction's own block order: one gather, by
+the construction's table, of the q sub-blocks in part 1 of its (l, 0)
+blocks must reproduce every block.  Another product file is certified by
+its blocks' structure, and any other family is checked pair by pair.
 A family is a Collection of its blocks, held as their incidence record,
 with the alpha it claims.  A product level's record is one gather from
 the sub-family's point matrix, so no block is ever a Python int; the
@@ -132,8 +135,11 @@ def verify_packing(f: PackingFamily) -> PackingReport:
     Passes iff blocks are distinct, equal-sized, and every pairwise
     intersection is strictly below alpha * block_size; worst_pair is the
     lexicographically first pair reaching the maximum.  A product family
-    gets its report from _structure_report in about O(count * size), any
-    other from _max_pair over the points of its incidence record."""
+    gets its report from _structure_report in about O(count * size): one
+    in the construction's own order from one gather of its first
+    sub-blocks and the build's proof, any other by renumbering its
+    sub-blocks.  Every other family gets it from _max_pair over the points
+    of its incidence record."""
     certified = _structure_report(f)
     if certified is not None:
         return certified
@@ -186,9 +192,12 @@ def _max_pair(points: np.ndarray, n: int) -> tuple[int, tuple[int, int]]:
 def _structure_report(f: PackingFamily) -> PackingReport | None:
     """The report of a product family, read off its record, or None.  Each
     block holds s = size/parts points in each of parts = 2/alpha intervals,
-    a sub-block, shifted to 0 and indexed per interval.  If no two blocks'
-    index tuples agree twice, they are distinct and any two meet in at most
-    U = s + (parts-1)*sub_max points, sub_max over all intervals' sub-blocks."""
+    a sub-block, shifted to 0 and indexed per interval.  A family in the
+    construction's own order is its q sub-blocks gathered by the
+    construction's table (_construction_report).  Any other: if no two
+    blocks' index tuples agree twice, they are distinct and any two meet in
+    at most U = s + (parts-1)*sub_max points, sub_max over all intervals'
+    sub-blocks."""
     alpha, size, count = f.declared_alpha, f.block_size, f.m
     parts = 2 * alpha.denominator
     if alpha.numerator != 1 or not size or count < 2 or f.n % parts or size % parts:
@@ -196,18 +205,23 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
     p, s = f.n // parts, size // parts
     points = f.incidence.elements.reshape(count, size)
     starts = np.arange(parts) * p
+    # a block's points are sorted: numbers j*s .. (j+1)*s - 1 lie in interval j
+    if (points[:, ::s] < starts).any() or (points[:, s - 1::s] >= starts + p).any():
+        return None
+    report = _construction_report(f, points)
     width = p.bit_length()
     per = (63 - (count * parts).bit_length()) // width  # points per int64 key beside a class
-    # a block's points are sorted: numbers j*s .. (j+1)*s - 1 lie in interval j
-    if per < 1 or (points[:, ::s] < starts).any() or (points[:, s - 1::s] >= starts + p).any():
-        return None
+    if report or per < 1:
+        return report
     # each sub-block's class, first its interval, refined by one point at a
     # time and renumbered in order by an exact sort before its key overflows
     index = np.arange(count * parts) % parts
     for t in range(s):
         index = index << width | (points[:, t::s] - starts).ravel()
-        if t % per == per - 1 or t == s - 1:  # at: the first sub-block of each class
-            _, at, index = np.unique(index, return_index=True, return_inverse=True)
+        if t % per == per - 1 or t == s - 1:
+            index = np.unique(index, return_inverse=True)[1]
+    at = np.empty(int(index.max()) + 1, np.intp)  # one sub-block of each class
+    at[index] = np.arange(index.size)
     index = index.reshape(count, parts)
     index -= index.min(axis=0)  # each interval's sub-blocks numbered from 0
     # a product over q sub-blocks per interval has count = q**2 blocks:
@@ -217,6 +231,31 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
     sub_points = np.unique(points.reshape(-1, s)[at] - starts[at % parts, None], axis=0)  # their union
     bound = _product_bound(sub_points, p, parts)
     return _witness_report(f, bound) if bound < alpha * size else None
+
+
+def _construction_report(f: PackingFamily, points: np.ndarray) -> PackingReport | None:
+    """The report of q*q blocks in the construction's own order, or None.
+    Its sub-blocks S are part 0 of the (l, 0) blocks, rows l*q: block
+    l*q + m must be S[constituent_table(q, coefficients)] shifted into the
+    parts, compared in row blocks of ROW_BLOCK_CELLS cells, and S must
+    pass the product proof the build checks (_proof_fault)."""
+    count, size = points.shape
+    parts, q = 2 * f.declared_alpha.denominator, isqrt(count)
+    if q * q != count:
+        return None
+    subs, coeffs = points[::q, : size // parts], _coefficients(parts)
+    bound, fault = _proof_fault(f, subs, q, coeffs)
+    if fault:
+        return None
+    starts = np.arange(parts)[:, None] * (f.n // parts)
+    step = max(1, ROW_BLOCK_CELLS // size)
+    for start in range(0, count, step):
+        stop = min(count, start + step)
+        gathered = subs[constituent_table(q, coeffs, start, stop)]  # [block][part][point]
+        gathered += starts
+        if not np.array_equal(gathered.reshape(stop - start, size), points[start:stop]):
+            return None
+    return _witness_report(f, bound)
 
 
 def _product_bound(subs: np.ndarray, p: int, parts: int) -> int:
@@ -258,12 +297,17 @@ class LevelTrace:
         return self.sub is not None and self.q is None
 
 
-def constituent_table(q: int, coeffs) -> np.ndarray:
-    """int64 (q*q, parts) table: row l*q + m holds the sub-block index
-    each part takes for block (l, m), namely l, m and (l + a*m) mod q for
-    each coefficient a."""
-    l, m = np.divmod(np.arange(q * q), q)
+def constituent_table(q: int, coeffs, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """int64 (q*q, parts) table, or its rows start .. stop - 1: row l*q + m
+    holds the sub-block index each part takes for block (l, m), namely l,
+    m and (l + a*m) mod q for each coefficient a."""
+    l, m = np.divmod(np.arange(start, q * q if stop is None else stop), q)
     return np.stack([l, m] + [(l + a * m) % q for a in coeffs], axis=1)
+
+
+def _coefficients(parts: int) -> tuple[int, ...]:
+    """The construction's coefficients: part j >= 3 takes (l + (j-1) m) mod q."""
+    return tuple(range(2, parts))
 
 
 def _is_prime(q: int) -> bool:
@@ -274,12 +318,13 @@ def _largest_prime_at_most(x: int) -> int | None:
     return next((q for q in range(x, 1, -1) if _is_prime(q)), None)
 
 
-def _certified_report(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> PackingReport:
-    """The report verify_packing gives a product level, from its proof:
-    blocks from distinct index pairs agree in at most one coordinate, so
-    they are distinct and meet in at most U = _product_bound(subs), subs the
-    q sub-blocks it takes.  Blocks 0 and 1 (coordinates all 0, and 0, 1, ...,
-    parts-1) are the witness: _witness_report gives the report, or else verify_packing."""
+def _proof_fault(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> tuple[int, str | None]:
+    """U = _product_bound(subs) for the product of the q sub-blocks subs by
+    constituent_table(q, coeffs), and the first condition of its proof that
+    fails, or None: blocks from distinct index pairs agree in at most one
+    coordinate if q is a prime above parts and the coefficients are
+    distinct in [2, q), so they are distinct and meet in at most U points,
+    which must be below the threshold."""
     parts = len(coeffs) + 2
     threshold = family.declared_alpha * family.block_size
     bound = _product_bound(subs, family.n // parts, parts)
@@ -290,7 +335,18 @@ def _certified_report(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -
         (not bound < threshold, f"U = {bound} is not below the threshold {threshold}"),
     ):
         if failed:
-            raise RuntimeError(f"constructed family fails its certificate: {why}")
+            return bound, why
+    return bound, None
+
+
+def _certified_report(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> PackingReport:
+    """The report verify_packing gives a product level, from its proof
+    (_proof_fault), subs the q sub-blocks it takes.  Blocks 0 and 1
+    (coordinates all 0, and 0, 1, ..., parts-1) are the witness:
+    _witness_report gives the report, or else verify_packing."""
+    bound, fault = _proof_fault(family, subs, q, coeffs)
+    if fault:
+        raise RuntimeError(f"constructed family fails its certificate: {fault}")
     return _witness_report(family, bound) or verify_packing(family)
 
 
@@ -313,7 +369,7 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
             # sub-family, which satisfies the stricter alpha/2 and hence alpha
             kind, family = "fallback", PackingFamily(p, sub_family.incidence, alpha)
         else:
-            q, coeffs = prime, tuple(j - 1 for j in range(3, parts + 1))
+            q, coeffs = prime, _coefficients(parts)
             points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
             points += (np.arange(parts) * p)[:, None]
             record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))

@@ -225,10 +225,12 @@ def test_find_simple_matches_reference_on_cube_directions():
 
 
 def test_lambda_row_recurrence():
+    sig = kappa._sigma_row(1000)
+    assert sig == [sigma(f) for f in range(1001)]
     for f in range(60):
-        assert kappa._lambda_row(f, f) == [lambda_simple(f, u) for u in range(f + 1)], f
+        assert kappa._lambda_row(f, f, sig[f]) == [lambda_simple(f, u) for u in range(f + 1)], f
     for f in (199, 200, 201, 1000):
-        assert kappa._lambda_row(f, 26) == [lambda_simple(f, u) for u in range(27)], f
+        assert kappa._lambda_row(f, 26, sig[f]) == [lambda_simple(f, u) for u in range(27)], f
 
 
 def test_first_max_top_limb_filter_is_exact():
@@ -309,8 +311,10 @@ def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):
     c = Collection.of(4, [[0], [1, 2]])
     f = tmp_path / "c.txt"
     f.write_text("4\n0\n1 2\n")
-    # a denominator that shrinks only at f = 4 makes the first step lose expectation
-    monkeypatch.setattr(kappa, "sigma", lambda f: 1 if f == 4 else 10**6)
+    # numerators inflated only at f = 4 make the first step lose expectation
+    real = kappa._lambda_row
+    monkeypatch.setattr(kappa, "_lambda_row",
+                        lambda f, umax, first: [x * 10**6 if f == 4 else x for x in real(f, umax, first)])
     with pytest.raises(RuntimeError, match="greedy step lost expectation"):
         find_simple_permutation(c)
     assert main(["kappa", "--input", str(f)]) == 4

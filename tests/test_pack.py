@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -286,6 +287,78 @@ def test_verify_packing_on_tampered_files_matches_oracle(product_files):
                 other_witness += what == "shuffled" and report.worst_pair != (0, 1)
     # some shuffles keep two blocks that reach U first, others move the witness
     assert len(small) >= 8 and certified > 0 and other_witness > 0
+
+
+def test_product_files_are_certified_in_construction_order(product_files, monkeypatch):
+    # a file as pack build writes it is its q sub-blocks gathered by the
+    # construction's table: the renumbering certificate never runs
+    monkeypatch.setattr(pack, "_shared_pairs", lambda table: pytest.fail("left the construction order"))
+    for n, alpha, fam, oracle in product_files:
+        assert verify_packing(fam) == oracle, (n, alpha)
+
+
+def construction_order_edits(fam, q):
+    """(what, family) pairs of files near the construction's own order,
+    made from the q sub-blocks S that part 0 of its (l, 0) blocks holds."""
+    parts = 2 * fam.declared_alpha.denominator
+    p, size = fam.n // parts, fam.block_size
+    s = size // parts
+    subs = fam.incidence.elements.reshape(-1, size)[::q, :s]
+    starts = np.arange(parts)[:, None] * p
+
+    def family(table, edit=None):
+        points = (subs[table] + starts).reshape(len(table), size)
+        blocks = points.tolist()
+        if edit is not None:
+            blocks[edit[0]][edit[1]] = edit[2]
+        return parse_family(serialize_family(PackingFamily.of(fam.n, blocks, fam.declared_alpha)))
+
+    table = constituent_table(q, pack._coefficients(parts))
+    swap = np.arange(q)
+    swap[:2] = 1, 0
+    for j in (0, 1, parts - 1):  # a valid product, its interval j's sub-blocks 0 and 1 swapped
+        swapped = table.copy()
+        swapped[:, j] = swap[swapped[:, j]]
+        yield f"swapped in interval {j}", family(swapped)
+    if parts == 4:
+        yield "coefficients (2, 2)", family(constituent_table(q, (2, 2)))
+    # part 0 of block (1, 0) takes a point outside its sub-block, which
+    # every other block (1, m) keeps
+    outside = sorted(set(range(p)) - set(subs[1].tolist()))[0]
+    yield "one point of an (l, 0) row", family(table, (q, 0, outside))
+
+
+def test_construction_order_edits_fall_through(monkeypatch):
+    calls = []
+    real = pack._shared_pairs
+    monkeypatch.setattr(pack, "_shared_pairs", lambda table: calls.append(1) or real(table))
+    seen = set()
+    for n, alpha in ((28, "1/2"), (64, "1/2"), (100, "1/4"), (248, "1/4")):
+        fam, trace = construct_packing_traced(n, Fraction(alpha))
+        for what, edited in construction_order_edits(fam, trace.q):
+            calls.clear()
+            report = verify_packing(edited)
+            assert calls, (n, alpha, what)  # the renumbering certificate ran
+            assert report == naive_verify_packing(edited), (n, alpha, what)
+            if what.startswith("swapped"):
+                assert pack._structure_report(edited) == report, (n, alpha, what)
+            seen.add((what[:7], report.ok))
+    assert seen >= {("swapped", True), ("coeffic", False), ("one poi", False)}
+
+
+def test_verify_packing_peak_memory_is_bounded():
+    # the construction-order comparison runs in row blocks; the parent
+    # commit's renumbering sorts peaked at 2.5 and 12.5 MB here
+    for n, alpha in ((400, "1/2"), (3000, "1/16")):
+        fam = construct_packing(n, Fraction(alpha))
+        tracemalloc.start()
+        try:
+            report = verify_packing(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.worst_pair == (0, 1)
+        assert peak < 8 << 20, (n, alpha, peak)
 
 
 def test_verify_packing_under_other_alphas_matches_oracle(product_files):
