@@ -63,8 +63,7 @@ class PackingFamily(Collection):
 
     @classmethod
     def of(cls, n: int, blocks, alpha) -> "PackingFamily":
-        blocks = tuple(b if isinstance(b, Subset) else Subset.of(n, b) for b in blocks)
-        return cls(n, blocks, Fraction(alpha))
+        return cls(n, Collection.of(n, blocks).incidence, Fraction(alpha))
 
     @property
     def blocks(self) -> tuple[Subset, ...]:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kappa import find_simple_permutation
-from .setcore import Collection, FormatError, Incidence, Permutation, bit_positions, bits_of, read_decimals, scan_tokens
+from .setcore import Collection, Incidence, Lines, Permutation, bit_positions, bits_of, read_decimals, read_lines
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
 # under 10 s and 1 GB: 7.0 s, 569 MB at n = 20; 14.7 s, 1,128 MB at n = 21 (2-core VM).
@@ -255,84 +255,47 @@ def inversion_assisted_blocking(
     return result, len(plain) - len(result)
 
 
-_PARSE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end
+_EDGE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end
 
 
 def parse_cube_edge_list(text: str) -> tuple[int, np.ndarray]:
     """Header n and the checked edges of a cube edge file, as an int64 array
     of (vertex, direction) rows.  No bit vector is built: a caller may refuse
-    n first.
-
-    The file is ASCII: '#' comment lines and blank lines anywhere, spaces or
-    tabs around and between the two fields, '\n' or '\r\n' line ends.  It is
-    checked as byte arrays of whole lines, about ``_PARSE_BLOCK`` bytes at a
-    time.
+    n first.  The file is read by ``setcore.read_lines``, about
+    ``_EDGE_BLOCK`` bytes at a time.
     """
-    if not text.isascii():
-        raise FormatError("cube edge files are ASCII")
-    raw = text.encode("ascii")
-    data = np.frombuffer(raw, np.uint8)
-    rows = np.empty((raw.count(b"\n") + 1, 2), np.int64)  # at most one edge per line
-    n, count, at = None, 0, 0
-    while at < len(raw):
-        end = raw.find(b"\n", at + _PARSE_BLOCK) + 1 or len(raw)
-        n, block_rows = _parse_block(data[at:end], n)
-        rows[count : count + len(block_rows)] = block_rows
-        count, at = count + len(block_rows), end
-    if n is None:
-        raise FormatError("missing dimension header")
-    return n, rows[:count]
+    rows = [np.zeros((0, 2), np.int64)]
+    for lines in read_lines(text, "cube edge", _EDGE_BLOCK, "the dimension"):
+        rows.append(_edge_rows(lines))
+    return lines.n, np.concatenate(rows)  # the header's Lines always come
 
 
-def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarray]:
-    """Check whole lines of a cube edge file, reading the header first if
-    ``n`` is None; returns n and the lines' (vertex, direction) rows.  Per
-    byte it holds only bytes and flags, per line a few int64 offsets."""
-    newlines, faults, starts, ends, line = scan_tokens(data)
+def _edge_rows(lines: Lines) -> np.ndarray:
+    """The (vertex, direction) rows of ``lines``, adding their first fault:
+    each line is a vertex of n binary digits and a decimal direction below
+    n whose bit is clear in the vertex."""
+    data, n, starts, ends = lines.data, lines.n, lines.starts, lines.ends
 
-    def refuse(at: int, what: str) -> None:
-        """Refuse the file at byte ``at``, quoting its line."""
-        i = int(np.searchsorted(newlines, at))
-        start = newlines[i - 1] + 1 if i else 0
-        end = newlines[i] if i < newlines.size else data.size
-        raise FormatError(f"{what}: {data[start:end].tobytes().decode().strip()!r}")
-
-    def check(bad: np.ndarray, at: np.ndarray, what: str) -> None:
-        """Refuse the file at the first flagged position of ``at``."""
-        if bad.any():
-            refuse(int(at[np.argmax(bad)]), what)
-
-    for at, what in faults:
-        refuse(at, what)
-
-    if n is None:
-        if not starts.size:
-            return None, np.zeros((0, 2), np.int64)
-        check(line[1:2] == line[0], starts[:1], "bad dimension line")
-        header = data[starts[0] : ends[0]].tobytes().decode()
-        try:
-            if not header.isdigit():  # int() would take a sign or '_'
-                raise ValueError
-            n = int(header)
-        except ValueError:  # or more digits than int() reads (4,300 by default)
-            raise FormatError(f"bad dimension {header!r}") from None
-        starts, ends, line = starts[1:], ends[1:], line[1:]
-
-    # each line holds two tokens: pair them up and check the pairs' lines
-    if line.size % 2:
-        line = np.append(line, -1)
+    # each line holds two tokens: pair them up, and read the pairs before
+    # the first that is not a line's two
+    line = lines.line if lines.line.size % 2 == 0 else np.append(lines.line, -1)
     lead, follow = line[0::2], line[1::2]
     split = lead != follow
     split[1:] |= lead[1:] == lead[:-1]
-    check(split, starts[0::2], "an edge line is '<vertex> <direction>'")
-    vs, ve, ds, de = starts[0::2], ends[0::2], starts[1::2], ends[1::2]
-    check(ve - vs != n, vs, f"vertex is not {n} binary digits")
-    if not vs.size:
-        return n, np.zeros((0, 2), np.int64)
+    lines.flag(split, starts[0::2], ends[0::2], lambda t, i: f"unpaired token {t!r}")
+    pairs = 2 * int(np.argmax(split)) if split.any() else starts.size
+    vs, ve, ds, de = starts[0:pairs:2], ends[0:pairs:2], starts[1:pairs:2], ends[1:pairs:2]
 
-    bits = np.lib.stride_tricks.sliding_window_view(data, n)[vs] - np.uint8(48)
-    check((bits > 1).any(axis=1), vs, f"vertex is not {n} binary digits")
-    check(bits[:, : max(n - 63, 0)].any(axis=1), vs, "vertex beyond 2^63")
+    bad = ve - vs != n
+    if not bad.all():  # rows of another width are read at a start in range, and not used
+        bits = np.lib.stride_tricks.sliding_window_view(data, n)[np.minimum(vs, data.size - n)] - np.uint8(48)
+        bad |= (bits > 1).any(axis=1)
+    lines.flag(bad, vs, ve, lambda t, i: f"vertex {t!r} is not {n} binary digits")
+    if bad.all():
+        return np.zeros((0, 2), np.int64)
+    high = ~bad & bits[:, : max(n - 63, 0)].any(axis=1)
+    lines.flag(high, vs, ve, lambda t, i: f"vertex {t!r} beyond 2^63")
+    bad |= high
     width = min(n, 63)
     packed = np.packbits(bits[:, n - width :], axis=1)
     words = np.zeros((vs.size, 8), np.uint8)
@@ -340,12 +303,14 @@ def _parse_block(data: np.ndarray, n: int | None) -> tuple[int | None, np.ndarra
     v = words.view(">u8")[:, 0].astype(np.int64) >> (8 * packed.shape[1] - width)
 
     # a direction is decimal digits; any below n fits in the last len(str(n))
-    d, bad, big = read_decimals(data, ds, de, len(str(n)))
-    check(bad, ds, "bad direction")
-    d = d.astype(np.int64)
-    check(big | (d >= n), ds, f"direction outside [0, {n})")
-    check(v >> np.minimum(d, 63) & 1 == 1, vs, "direction bit set in the vertex")
-    return n, np.stack([v, d], axis=1)
+    d, nondigit, big = read_decimals(data, ds, de, len(str(n)))
+    lines.flag(nondigit, ds, de, lambda t, i: f"non-integer direction {t!r}")
+    outside = ~nondigit & (big | (d >= n))
+    lines.flag(outside, ds, de, lambda t, i: f"direction {t.lstrip('0') or '0'} outside [0, {n})")
+    d = np.where(nondigit | outside, 0, d).astype(np.int64)
+    set_bit = ~bad & (v >> np.minimum(d, 63) & 1 == 1)
+    lines.flag(set_bit, vs, ve, lambda t, i: f"vertex {t!r} has direction bit {d[i]} set")
+    return np.stack([v, d], axis=1)
 
 
 def parse_cube_edges(text: str) -> CubeEdgeSet:

@@ -5,22 +5,23 @@ integers used as bit vectors (bit x set <=> element x present), so the
 ground-set size is bounded only by memory, never by a machine word.
 All types are immutable after construction; every operation is a pure
 function, safe for concurrent use.  A collection is its membership
-record (``Incidence``), which every bulk consumer reads; the parser
-writes it directly, and a collection made from Subsets builds it once,
-when first asked for.
+record (``Incidence``), which every bulk consumer reads, written when the
+collection is made.  The collection, permutation and cube edge files are
+line files read by one reader, ``read_lines``, with one first-fault rule.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
 
 class FormatError(ValueError):
-    """Raised when a collection or permutation file is malformed."""
+    """Raised when a collection, permutation or cube edge file is malformed."""
 
 
 MAX_BITS = 1 << 32  # longest bit vector bits_of builds: 512 MiB packed
@@ -94,23 +95,6 @@ class Incidence:
     def __init__(self, n: int, indptr: np.ndarray, elements: np.ndarray):
         self.n, self.indptr, self.elements = n, indptr, elements
 
-    @classmethod
-    def of(cls, n: int, members: Sequence[Subset]) -> "Incidence":
-        """The record of ``members``, read from one buffer of their bytes."""
-        widths = np.array([(s.bits.bit_length() + 7) // 8 for s in members], np.int64)
-        buf = b"".join(s.bits.to_bytes(w, "little") for s, w in zip(members, widths.tolist()))
-        raw = np.frombuffer(buf, np.uint8)
-        nonzero = np.flatnonzero(raw)  # small sets leave most bytes 0: unpack the others
-        bits = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
-        at = nonzero[bits >> 3]  # updated in place: the element array dominates memory
-        at <<= 3
-        at |= bits & 7
-        del nonzero, bits
-        ends = 8 * np.cumsum(widths)
-        indptr = np.append(0, np.searchsorted(at, ends))  # at is increasing
-        at -= np.repeat(ends - 8 * widths, np.diff(indptr))
-        return cls(n, indptr, at)
-
     @cached_property
     def sets(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
@@ -120,30 +104,51 @@ class Incidence:
         return _scatter(len(self.indptr) - 1, 8 * ((self.n + 63) // 64), self.sets, self.elements)
 
 
+def _record(n: int, lists: list[list[int]]) -> Incidence:
+    """The record of sets given as element lists, in any order and repeats
+    allowed: each set sorted, its repeats dropped, and the first element
+    outside [0, n) refused."""
+    sizes, top = [len(s) for s in lists], min(n, 1 << 63)  # no record holds an element past 2^63
+    try:
+        elements = np.fromiter(chain.from_iterable(lists), np.int64, sum(sizes))
+        fits = bool(((elements >= 0) & (elements < top)).all())
+    except OverflowError:
+        fits = False
+    if not fits:
+        x = next(x for x in chain.from_iterable(lists) if not 0 <= x < top)
+        raise ValueError(f"element {x} outside ground set [0, {top})")
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    if not ((elements[1:] > elements[:-1]) | (owner[1:] != owner[:-1])).all():
+        order = np.lexsort((elements, owner))
+        elements, owner = elements[order], owner[order]
+        keep = np.append(True, (elements[1:] != elements[:-1]) | (owner[1:] != owner[:-1]))
+        elements, sizes = elements[keep], np.bincount(owner[keep], minlength=len(sizes))
+    return Incidence(n, np.append(0, np.cumsum(sizes, dtype=np.int64)), elements)
+
+
 class Collection:
     """A ground-set size n together with an ordered list of subsets, held
     as their ``Incidence`` record.  ``Collection(n, sets)`` takes Subsets
-    or a record; the Subsets are built from the record, or the record from
-    the Subsets, when first asked for.  Equality compares n and the sets."""
+    or a record and ``Collection.of`` element lists; the Subsets are built
+    from the record when first asked for.  Equality compares n and the sets."""
 
     def __init__(self, n: int, sets: Iterable[Subset] | Incidence):
-        kind, sets = ("record", sets) if isinstance(sets, Incidence) else ("subset", tuple(sets))
-        for s in [sets] if kind == "record" else sets:
-            if s.n != n:
-                raise ValueError(f"{kind} over ground set of size {s.n} in a collection with n={n}")
-        self.__dict__.update(n=n, **{"incidence" if kind == "record" else "sets": sets})
+        if not isinstance(sets, Incidence):
+            sets = tuple(sets)
+            for s in sets:
+                if s.n != n:
+                    raise ValueError(f"subset over ground set of size {s.n} in a collection with n={n}")
+            sets = _record(n, [s.elements() for s in sets])
+        elif sets.n != n:
+            raise ValueError(f"record over ground set of size {sets.n} in a collection with n={n}")
+        self.__dict__.update(n=n, incidence=sets)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Collection":
-        return cls(n, tuple(Subset.of(n, s) for s in sets))
-
-    @cached_property
-    def incidence(self) -> Incidence:
-        """What every bulk consumer reads; built once, freed with c."""
-        return Incidence.of(self.n, self.sets)
+        return cls(n, _record(n, [list(s) for s in sets]))
 
     @cached_property
     def sets(self) -> tuple[Subset, ...]:
@@ -234,31 +239,93 @@ def inverted(c: Collection, p: Permutation) -> np.ndarray:
     return ok
 
 
-def scan_tokens(data: np.ndarray):
-    """Tokens of the whole lines of ASCII text held in ``data``: maximal
-    runs of bytes above the blanks (space, tab, CR, LF), less the lines
-    whose first token starts with '#'.  Returns the offsets of the '\n'
-    bytes; the faults for the caller to refuse, as (offset, what) pairs:
-    the first control character but tab, CR and LF, then the first CR
-    without LF; and the tokens' starts, ends and lines (the count of '\n'
-    before each).  Per byte it holds only bytes and flags, per token a few
-    int64 offsets."""
-    newlines = np.flatnonzero(data == 10)
-    faults = [(int(np.argmax(flags)), what) for flags, what in (
-        ((data < 32) & (data != 9) & (data != 10) & (data != 13), "control character"),
-        ((data == 13) & (np.append(data[1:], 0) != 10), "carriage return without line feed"),
-    ) if flags.any()]
+class Lines:
+    """Whole lines of a file as the byte array ``data``, after ``lineno``
+    earlier lines and ending at offset ``end`` of the text, scanned once:
+    the offsets of its '\n' bytes, and its tokens, maximal runs of bytes
+    above the blanks (space, tab, CR, LF), less the lines whose first token
+    starts with '#' and less the header, as their ``starts``, ``ends`` and
+    ``line`` (the count of '\n' before each).  ``n`` is the header's value.
+    ``faults`` are (offset, what) pairs: the scan's first control character
+    but tab, CR and LF and its first CR without LF, then those a parser
+    adds in the order it checks them.  Per byte it holds only bytes and
+    flags, per token a few int64 offsets."""
 
-    inside = np.zeros(data.size + 2, bool)
-    np.greater(data, 32, out=inside[1:-1])
-    bounds = np.flatnonzero(inside[1:] != inside[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(newlines, starts)
-    lead = np.ones(line.size, bool)  # the first token of its line
-    lead[1:] = line[1:] != line[:-1]
-    comment = lead & (data[starts] == 35)  # '#'
-    keep = ~comment[lead][np.cumsum(lead) - 1]
-    return newlines, faults, starts[keep], ends[keep], line[keep]
+    def __init__(self, data: np.ndarray, lineno: int, end: int, n: int | None):
+        self.data, self.lineno, self.end, self.n = data, lineno, end, n
+        self.newlines = np.flatnonzero(data == 10)
+        self.faults = [(int(np.argmax(flags)), what) for flags, what in (
+            ((data < 32) & (data != 9) & (data != 10) & (data != 13), "control character"),
+            ((data == 13) & (np.append(data[1:], 0) != 10), "carriage return without line feed"),
+        ) if flags.any()]
+
+        inside = np.zeros(data.size + 2, bool)
+        np.greater(data, 32, out=inside[1:-1])
+        bounds = np.flatnonzero(inside[1:] != inside[:-1])
+        starts, ends = bounds[0::2], bounds[1::2]
+        line = np.searchsorted(self.newlines, starts)
+        lead = np.ones(line.size, bool)  # the first token of its line
+        lead[1:] = line[1:] != line[:-1]
+        comment = lead & (data[starts] == 35)  # '#'
+        keep = ~comment[lead][np.cumsum(lead) - 1]
+        self.starts, self.ends, self.line = starts[keep], ends[keep], line[keep]
+
+    def text(self, start: int, end: int) -> str:
+        return self.data[start:end].tobytes().decode()
+
+    def flag(self, bad: np.ndarray, starts: np.ndarray, ends: np.ndarray, what) -> None:
+        """Add a fault at the first flagged token of [starts, ends): its
+        message is ``what(token, i)``, i the token's index."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            self.faults.append((int(starts[i]), what(self.text(starts[i], ends[i]), i)))
+
+    def refuse(self) -> None:
+        """Raise the first fault in file order as 'line N: what'; of faults
+        at one offset, the first added."""
+        if self.faults:
+            at, what = min(self.faults, key=lambda fault: fault[0])
+            raise FormatError(f"line {self.lineno + int(np.searchsorted(self.newlines, at)) + 1}: {what}")
+
+    def read_header(self) -> int:
+        """Take the first token line, the header, out of the tokens and
+        return its value; refuse it at once unless it is one decimal number."""
+        count = int(np.count_nonzero(self.line == self.line[0]))
+        header = self.text(self.starts[0], self.ends[count - 1])
+        if count == 1 and header.isdigit():  # int() would take a sign or '_'
+            try:
+                self.n = int(header.lstrip("0") or "0")
+            except ValueError:  # more digits than int() reads (4,300 by default)
+                pass
+        if self.n is None:
+            self.faults.append((int(self.starts[0]), f"header must be a single integer, got {header!r}"
+                                if count > 1 else f"non-integer token {header!r}"))
+            self.refuse()
+        self.starts, self.ends, self.line = self.starts[1:], self.ends[1:], self.line[1:]
+        return self.n
+
+
+def read_lines(text: str, name: str, block: int, header: str | None = None) -> Iterator[Lines]:
+    """The ``name`` file ``text`` as Lines of about ``block`` bytes each,
+    ending at line ends.  The file is ASCII.  With ``header``, which names
+    what it holds, the first token line is the header, and the Lines come
+    from its own on, each with its value as ``n``.  Before it reads on, the
+    reader raises the first fault of the Lines it gave, so the first fault
+    in file order is the one reported."""
+    if not text.isascii():
+        raise FormatError(f"{name} files are ASCII")
+    n, lineno, at = None, 0, 0
+    while at < len(text):
+        end = text.find("\n", at + block) + 1 or len(text)
+        lines = Lines(np.frombuffer(text[at:end].encode("ascii"), np.uint8), lineno, end, n)
+        if header and n is None and lines.starts.size:
+            n = lines.read_header()
+        if n is not None or not header:
+            yield lines
+        lines.refuse()
+        lineno, at = lineno + lines.newlines.size, end
+    if header and n is None:
+        raise FormatError(f"missing header line with {header}")
 
 
 def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: int):
@@ -296,60 +363,28 @@ def parse_collection(text: str) -> Collection:
     Spaces and tabs are blanks; lines end with '\n' or '\r\n'.  Numbers
     are decimal digits, leading zeros allowed, elements below 2^63.
 
-    It is read as byte arrays of whole lines, about ``_PARSE_BLOCK`` bytes
-    at a time, straight into the collection's incidence record; the first
-    fault in file order is reported, with its line.
+    It is read by ``read_lines``, about ``_PARSE_BLOCK`` bytes at a time,
+    straight into the collection's incidence record.
     """
-    if not text.isascii():
-        raise FormatError("collection files are ASCII")
-    n, lineno, at, used = None, 0, 0, 0
-    sizes, elements = [np.zeros(0, np.int64)], np.zeros(0, np.int64)
-    while at < len(text):
-        end = text.find("\n", at + _PARSE_BLOCK) + 1 or len(text)
-        raw = text[at:end].encode("ascii")
-        n, block = _parse_sets(np.frombuffer(raw, np.uint8), n, lineno, sizes)
+    sizes, elements, used = [np.zeros(0, np.int64)], np.zeros(0, np.int64), 0
+    for lines in read_lines(text, "collection", _PARSE_BLOCK, "the ground-set size"):
+        block = _read_sets(lines, sizes)
         if used + block.size > elements.size:  # realloc to the projected size: no second copy
-            elements.resize((used + block.size) * len(text) // end, refcheck=False)
+            elements.resize((used + block.size) * len(text) // lines.end, refcheck=False)
         elements[used : used + block.size] = block
-        used, lineno, at = used + block.size, lineno + raw.count(b"\n"), end
-    if n is None:
-        raise FormatError("missing header line with the ground-set size")
+        used += block.size
     elements.resize(used, refcheck=False)
+    n = lines.n  # the header's Lines always come
     return Collection(n, Incidence(n, np.append(0, np.cumsum(np.concatenate(sizes))), elements))
 
 
-def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sizes: list) -> tuple[int | None, np.ndarray]:
-    """Check whole lines of a collection file that follow ``lineno`` lines,
-    reading the header first if ``n`` is None; append their sets' sizes to
-    ``sizes`` and return n and their elements, increasing within each set."""
-    newlines, faults, starts, ends, line = scan_tokens(data)
-
-    def refuse(at: int | None = None, what: str = "") -> None:
-        """Raise the first fault in the block, ``at`` included."""
-        if at is not None:
-            faults.append((at, what))
-        if faults:
-            at, what = min(faults)
-            raise FormatError(f"line {lineno + int(np.searchsorted(newlines, at)) + 1}: {what}")
-
-    if n is None and starts.size:
-        count = int(np.count_nonzero(line == line[0]))
-        header = data[starts[0] : ends[count - 1]].tobytes().decode()
-        if count > 1:
-            refuse(starts[0], f"header must be a single integer, got {header!r}")
-        if not header.isdigit():
-            refuse(starts[0], f"non-integer token {header!r}")
-        try:
-            n = int(header.lstrip("0") or "0")
-        except ValueError:  # more digits than int() reads (4,300 by default)
-            refuse(starts[0], f"non-integer token {header!r}")
-        starts, ends, line = starts[1:], ends[1:], line[1:]
-    if not starts.size:
-        refuse()
-        return n, np.zeros(0, np.int64)
+def _read_sets(lines: Lines, sizes: list) -> np.ndarray:
+    """Check the sets of ``lines``, adding their first fault; append their
+    sizes to ``sizes`` and return their elements, increasing within each."""
+    data, starts, ends, line, n = lines.data, lines.starts, lines.ends, lines.line, lines.n
 
     # 19 digits hold every element below 2^63
-    value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
+    value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max(initial=0)), 19))
     outside = ~nondigit & (big | (value >= min(n, 1 << 63)))
     bad = nondigit | outside
 
@@ -364,17 +399,17 @@ def _parse_sets(data: np.ndarray, n: int | None, lineno: int, sizes: list) -> tu
         again = (x[order[1:]] == x[order[:-1]]) & (line[order[1:]] == line[order[:-1]])
         bad[order[1:][again]] = True
         x = x[order]
-    if bad.any():  # the first faulty token in file order
-        i = int(np.argmax(bad))
-        token = data[starts[i] : ends[i]].tobytes().decode()
+
+    def what(token: str, i: int) -> str:
         digits = token.lstrip("0") or "0"
-        refuse(starts[i], f"non-integer token {token!r}" if nondigit[i]
-               else f"duplicate element {int(value[i])}" if not outside[i]
-               else f"element {digits} outside [0, {n})" if n <= 1 << 63
-               else f"element {digits} at or above 2^63")
-    refuse()
+        return (f"non-integer token {token!r}" if nondigit[i]
+                else f"duplicate element {int(value[i])}" if not outside[i]
+                else f"element {digits} outside [0, {n})" if n <= 1 << 63
+                else f"element {digits} at or above 2^63")
+
+    lines.flag(bad, starts, ends, what)
     sizes.append(np.diff(first, append=x.size))
-    return n, x
+    return x
 
 
 def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:
@@ -419,26 +454,22 @@ def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> 
 
 def parse_permutation(text: str) -> Permutation:
     """Read the permutation file format: one data line, image[j] at
-    position j, in the blanks, comments, line ends and numbers of the
-    collection files.  The 0-point permutation is one blank line, which
-    is what serialize_permutation writes for it.
+    position j, read by ``read_lines`` in the blanks, comments, line ends
+    and numbers of the collection files.  The 0-point permutation is one
+    blank line, which is what serialize_permutation writes for it.
     """
-    if not text.isascii():
-        raise FormatError("permutation files are ASCII")
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    newlines, faults, starts, ends, line = scan_tokens(data)
-    if faults:
-        at, what = min(faults)
-        raise FormatError(f"line {int(np.searchsorted(newlines, at)) + 1}: {what}")
-    if not starts.size and any(not raw.strip() for raw in text.splitlines()):
+    data = [lines for lines in read_lines(text, "permutation", _PARSE_BLOCK) if lines.starts.size]
+    if not data and any(not raw.strip() for raw in text.splitlines()):
         return Permutation(0, ())
-    if not starts.size or line[-1] != line[0]:
+    if len(data) != 1 or data[0].line[-1] != data[0].line[0]:
         raise FormatError("permutation file must hold exactly one data line")
-    lineno = int(line[0]) + 1
-    image, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max()), 19))
+    (lines,) = data
+    lineno = lines.lineno + int(lines.line[0]) + 1
+    starts, ends = lines.starts, lines.ends
+    image, nondigit, big = read_decimals(lines.data, starts, ends, min(int((ends - starts).max()), 19))
     if nondigit.any():
         i = int(np.argmax(nondigit))
-        raise FormatError(f"line {lineno}: non-integer token {data[starts[i] : ends[i]].tobytes().decode()!r}")
+        raise FormatError(f"line {lineno}: non-integer token {lines.text(starts[i], ends[i])!r}")
     image[big] = image.size  # past n, so refused as no bijection
     try:
         return Permutation(image.size, tuple(image.tolist()))

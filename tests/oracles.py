@@ -528,31 +528,34 @@ def naive_vertices(bits: int) -> list[int]:
 
 def naive_parse_cube_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Header n and (vertex, direction) pairs of a cube edge file, checked
-    line by line but with no bit vector built: a caller may refuse n first."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise FormatError("missing dimension header")
+    line by line but with no bit vector built: a caller may refuse n first.
+    The first line refused is reported as 'line N: ...'."""
+    lines = _data_lines(text)
     try:
-        if not lines[0].isdecimal():  # int() would take a sign or '_'
+        lineno, header = next(lines)
+    except StopIteration:
+        raise FormatError("missing header line with the dimension") from None
+    try:
+        if not header.isdecimal():  # int() would take a sign or '_'
             raise ValueError
-        n = int(lines[0], 10)
+        n = int(header, 10)
     except ValueError:
-        raise FormatError(f"bad dimension {lines[0]!r}") from None
+        raise FormatError(f"line {lineno}: bad dimension {header!r}") from None
     edges = []
-    for ln in lines[1:]:
+    for lineno, ln in lines:
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
+            raise FormatError(f"line {lineno}: bad edge line {ln!r}")
         vertex_str, d_str = parts
         if len(vertex_str) != n or set(vertex_str) - {"0", "1"}:
-            raise FormatError(f"vertex {vertex_str!r} is not an {n}-bit binary string")
+            raise FormatError(f"line {lineno}: vertex {vertex_str!r} is not an {n}-bit binary string")
         if not d_str.isdecimal():
-            raise FormatError(f"bad direction {d_str!r}")
+            raise FormatError(f"line {lineno}: bad direction {d_str!r}")
         v, d = int(vertex_str, 2), int(d_str, 10)
         if d >= n:
-            raise FormatError(f"direction {d} outside [0, {n})")
+            raise FormatError(f"line {lineno}: direction {d} outside [0, {n})")
         if (v >> d) & 1:
-            raise FormatError(f"edge {ln!r} not canonical: direction bit set in vertex")
+            raise FormatError(f"line {lineno}: edge {ln!r} not canonical: direction bit set in vertex")
         edges.append((v, d))
     return n, edges
 

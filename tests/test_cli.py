@@ -501,9 +501,9 @@ def test_cube_verify_malformed_dimensions(tmp_path, capsys, monkeypatch):
         ("40\n" + high_edge, 40, 2, "exceeds square-check limit"),
         ("1000000\n", 5, 3, "file is for Q_1000000, not Q_5"),
         ("40\n" + high_edge, 5, 3, "file is for Q_40, not Q_5"),
-        ("-3\n", 3, 3, "bad dimension '-3'"),  # the header is decimal digits only
-        ("+3\n", 3, 3, "bad dimension '+3'"),
-        ("1_0\n", 10, 3, "bad dimension '1_0'"),
+        ("-3\n", 3, 3, "line 1: non-integer token '-3'"),  # the header is decimal digits only
+        ("+3\n", 3, 3, "line 1: non-integer token '+3'"),
+        ("1_0\n", 10, 3, "line 1: non-integer token '1_0'"),
     ):
         f.write_text(text)
         assert main(["cube", "verify", "--n", str(n), "--edges", str(f)]) == code

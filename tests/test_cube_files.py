@@ -47,11 +47,12 @@ def built():
 
 
 def parsed(parse, text):
-    """(n, edge list) as ``parse`` reads text, or None when it refuses it."""
+    """(n, edge list) as ``parse`` reads text, or, when it refuses it, the
+    'line N' its message starts with (the whole message if it names none)."""
     try:
         n, edges = parse(text)
-    except FormatError:
-        return None
+    except FormatError as e:
+        return str(e).partition(":")[0]
     return n, [tuple(e) for e in (edges.tolist() if isinstance(edges, np.ndarray) else edges)]
 
 
@@ -214,7 +215,7 @@ def test_mutated_files_parse_as_the_oracle_parses_them():
         expected = parsed(naive_parse_cube_edge_list, text)
         assert parsed(parse_cube_edge_list, text) == expected, (kinds, text)
         if len(kinds) == 1:
-            seen[kinds[0]].add(expected is not None)
+            seen[kinds[0]].add(isinstance(expected, tuple))
     # alone, these keep a file valid, and every other kind can break one
     valid = {"tabs and runs of spaces", "leading zeros", "duplicate edge", "header only",
              "leading and trailing blanks", "blank or comment line"}
@@ -242,16 +243,33 @@ def test_only_exemption_outside_the_ascii_grammar(text):
     # the one deliberate narrowing: the oracle's str.split, str.strip and
     # isdecimal accept these; the file format is ASCII with space and tab as
     # blanks and '\n' or '\r\n' as line ends, and the parser refuses the rest
-    assert parsed(naive_parse_cube_edge_list, text) is not None
+    assert isinstance(parsed(naive_parse_cube_edge_list, text), tuple)
     with pytest.raises(FormatError):
         parse_cube_edge_list(text)
 
 
 def test_error_quotes_the_offending_line():
-    with pytest.raises(FormatError, match=r"direction outside \[0, 3\): '010 3'"):
+    with pytest.raises(FormatError, match=r"^line 4: direction 3 outside \[0, 3\)$"):
         parse_cube_edge_list("3\n# fine so far\n000 0\n010 3\n")
-    with pytest.raises(FormatError, match="bad dimension line: '3 3'"):
+    with pytest.raises(FormatError, match="^line 3: header must be a single integer, got '3 3'$"):
         parse_cube_edge_list("\n# header next\n3 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n000 0\r001 1\n010 0\x01\n", "line 2: carriage return without line feed"),
+        ("3\n000 9\n002 1\n", "line 2: direction 9 outside [0, 3)"),
+        ("3\n001 0\n000 x\n", "line 2: vertex '001' has direction bit 0 set"),
+        ("x\n000 0\x01\n", "line 1: non-integer token 'x'"),
+    ],
+)
+def test_the_first_fault_in_file_order_wins(text, message):
+    # the fault that comes first in the file, whatever its kind, as the
+    # collection and permutation files report theirs
+    with pytest.raises(FormatError) as refused:
+        parse_cube_edge_list(text)
+    assert str(refused.value) == message
 
 
 def test_edges_span_parse_blocks(monkeypatch):
@@ -260,7 +278,7 @@ def test_edges_span_parse_blocks(monkeypatch):
     text = "# comment\n" + serialize_cube_edges(m).replace("\n", "\r\n")
     whole = parse_cube_edge_list(text)
     for size in (1, 7, 100, 4096):
-        monkeypatch.setattr(qcube, "_PARSE_BLOCK", size)
+        monkeypatch.setattr(qcube, "_EDGE_BLOCK", size)
         n, rows = parse_cube_edge_list(text)
         assert n == whole[0] and np.array_equal(rows, whole[1])
     assert parse_cube_edges(text) == m

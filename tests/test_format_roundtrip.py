@@ -16,6 +16,7 @@ from setpack import (
     serialize_collection,
     serialize_permutation,
 )
+from setpack.pack import PackingFamily
 from setpack.qcube import parse_cube_edges, serialize_cube_edges
 from setpack.setcore import FormatError
 
@@ -103,3 +104,37 @@ def test_empty_permutation_roundtrip():
 @given(cube_edge_sets())
 def test_cube_edge_set_roundtrip(m):
     assert parse_cube_edges(serialize_cube_edges(m)) == m
+
+
+WORD_EDGES = (0, 1, 7, 8, 9, 63, 64, 65, 128)
+
+
+@SETTINGS
+@given(st.sampled_from(WORD_EDGES).flatmap(lambda n: st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=n and 12), max_size=9).map(lambda sets: (n, sets))))
+def test_record_is_written_at_construction(case):
+    # element lists in any order, with repeats and empty sets, at the byte
+    # and word edges: every way of making a collection writes the record
+    # the Subsets of the same lists give
+    n, sets = case
+    subsets = [Subset.of(n, s) for s in sets]
+    oracle = SubsetIncidence(n, subsets)
+    for c in (Collection.of(n, sets), Collection(n, subsets), Collection.of(n, subsets)):
+        assert "incidence" in vars(c) and "sets" not in vars(c)
+        assert same_record(c.incidence, oracle)
+        assert c.sets == tuple(subsets)
+    if len({s.cardinality() for s in subsets}) == 1:
+        family = PackingFamily.of(n, [s[::-1] * 2 for s in sets], "1/2")  # each reversed and repeated
+        assert same_record(family.incidence, oracle)
+
+
+def test_record_refuses_what_subsets_refuse():
+    for sets in ([[1, 7], [-1]], [[1], [5, 0]], [[2**70, 9]], [[0, 1 << 63]]):
+        bad = next(x for s in sets for x in s if not 0 <= x < 5)
+        with pytest.raises(ValueError, match=re.escape(f"element {bad} outside ground set [0, 5)")):
+            Subset.of(5, [x for s in sets for x in s])
+        with pytest.raises(ValueError, match=re.escape(f"element {bad} outside ground set [0, 5)")):
+            Collection.of(5, sets)
+        with pytest.raises(ValueError, match=re.escape(f"element {bad} outside ground set [0, 5)")):
+            PackingFamily.of(5, sets, "1/2")
+    with pytest.raises(ValueError, match="subset over ground set of size 6 in a collection with n=5"):
+        Collection(5, [Subset(5, 1), Subset(6, 1)])
