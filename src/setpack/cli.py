@@ -67,14 +67,14 @@ def exact_int_output():
         sys.set_int_max_str_digits(old)
 
 
-def _read(path: str) -> str:
-    # undecodable bytes become surrogates, which the parsers' ASCII checks refuse (exit 3)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+def _read(path: str) -> bytes:
+    # the parsers read bytes and refuse any that are not ASCII (exit 3)
+    with open(path, "rb") as fh:
         return fh.read()
 
 
-def _write(path: str, content: str):
-    with open(path, "w", encoding="utf-8") as fh:
+def _write(path: str, content: bytes):
+    with open(path, "wb") as fh:
         fh.write(content)
 
 
@@ -193,7 +193,7 @@ def _cmd_pack_build(args, out: Outcome):
         "shared_constituent_violations": 0,
     }
     if args.out:
-        _write(args.out, pack.serialize_family(family))
+        _write(args.out, pack.write_family(family))
         out.say(f"written to {args.out}")
 
 
@@ -237,7 +237,7 @@ def _cmd_pack_no3(args, out: Outcome):
         "verified": True,
     }
     if args.out:
-        _write(args.out, setcore.serialize_collection(col))
+        _write(args.out, setcore.write_collection(col))
         out.say(f"written to {args.out}")
 
 
@@ -302,7 +302,7 @@ def _cmd_cube_build(args, out: Outcome):
         "saved": saved,
     }
     if args.out:
-        _write(args.out, qcube.serialize_cube_edges(m))
+        _write(args.out, qcube.write_cube_edges(m))
         out.say(f"written to {args.out}")
 
 

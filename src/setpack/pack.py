@@ -38,11 +38,11 @@ import re
 
 import numpy as np
 
-from .setcore import Collection, FormatError, Incidence, Subset, parse_collection, serialize_collection
+from .setcore import Collection, FormatError, Incidence, Subset, ascii_bytes, parse_collection, write_collection
 
 DEFAULT_GREEDY_BUDGET = 200_000
 ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of _max_pair's counts
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
+_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # where str.splitlines ends a line of ASCII text
 
 
 class PackingFamily(Collection):
@@ -494,24 +494,30 @@ def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
     return Collection(n, Incidence(n, np.arange(rs.m + 1) * (n // 2), sets.reshape(-1)))
 
 
-def serialize_family(f: PackingFamily) -> str:
+def write_family(f: PackingFamily) -> bytes:
+    """The family file as bytes: the collection file with a '# packing' header."""
     header = (
         f"packing n={f.n} alpha={f.declared_alpha.numerator}/{f.declared_alpha.denominator} "
         f"c={f.achieved_c.numerator}/{f.achieved_c.denominator}"
     )
-    return serialize_collection(f, [header])
+    return write_collection(f, [header])
 
 
-def parse_family(text: str, alpha=None) -> PackingFamily:
-    """Read a family file; alpha comes from the argument or the header
-    comment, and must be positive."""
+def serialize_family(f: PackingFamily) -> str:
+    return write_family(f).decode("ascii")
+
+
+def parse_family(text: str | bytes, alpha=None) -> PackingFamily:
+    """Read a family file, a str or any bytes-like; alpha comes from the
+    argument or the header comment, and must be positive."""
     declared = Fraction(alpha) if alpha is not None else None
     if declared is not None and declared <= 0:
         raise ValueError(f"alpha must be positive, got {declared}")
+    raw = ascii_bytes(text, "collection")
     if declared is None:
-        for line in re.finditer(f"# packing[^{_BREAKS}]*", text):
-            if not line.start() or text[line.start() - 1] in _BREAKS:  # the line starts with it
-                for token in line.group().split():
+        for line in re.finditer(rb"# packing[^%s]*" % _BREAKS, raw):
+            if not line.start() or raw[line.start() - 1] in _BREAKS:  # the line starts with it
+                for token in line.group().decode().split():
                     if token.startswith("alpha="):
                         try:
                             declared = Fraction(token[len("alpha="):])
@@ -521,5 +527,5 @@ def parse_family(text: str, alpha=None) -> PackingFamily:
                             raise FormatError(f"nonpositive {token} in the family header")
     if declared is None:
         raise ValueError("no alpha given and none found in the file header")
-    col = parse_collection(text)
+    col = parse_collection(raw)
     return PackingFamily(col.n, col.incidence, declared)

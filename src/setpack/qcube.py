@@ -256,54 +256,53 @@ def inversion_assisted_blocking(
 
 
 _EDGE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end
+_EDGE_WRITE = 1 << 15  # edges written at once
 
 
-def parse_cube_edge_list(text: str) -> tuple[int, np.ndarray]:
-    """Header n and the checked edges of a cube edge file, as an int64 array
-    of (vertex, direction) rows.  No bit vector is built: a caller may refuse
-    n first.  The file is read by ``setcore.read_lines``, about
-    ``_EDGE_BLOCK`` bytes at a time.
+def parse_cube_edge_list(text: str | bytes) -> tuple[int, np.ndarray]:
+    """Header n and the checked edges of a cube edge file, a str or any
+    bytes-like, as an int64 array of (vertex, direction) rows.  No bit
+    vector is built: a caller may refuse n first.  The file is read by
+    ``setcore.read_lines``, about ``_EDGE_BLOCK`` bytes at a time.
     """
     rows = [np.zeros((0, 2), np.int64)]
     for lines in read_lines(text, "cube edge", _EDGE_BLOCK, "the dimension"):
+        n = lines.n
         rows.append(_edge_rows(lines))
-    return lines.n, np.concatenate(rows)  # the header's Lines always come
+        del lines  # let go before the next block is scanned
+    return n, np.concatenate(rows)  # the header's Lines always come
 
 
 def _edge_rows(lines: Lines) -> np.ndarray:
     """The (vertex, direction) rows of ``lines``, adding their first fault:
     each line is a vertex of n binary digits and a decimal direction below
     n whose bit is clear in the vertex."""
-    data, n, starts, ends = lines.data, lines.n, lines.starts, lines.ends
+    digits, n, starts, ends = lines.data - np.uint8(48), lines.n, lines.starts, lines.ends
 
     # each line holds two tokens: pair them up, and read the pairs before
     # the first that is not a line's two
-    line = lines.line if lines.line.size % 2 == 0 else np.append(lines.line, -1)
-    lead, follow = line[0::2], line[1::2]
-    split = lead != follow
-    split[1:] |= lead[1:] == lead[:-1]
+    lead = lines.lead if lines.lead.size % 2 == 0 else np.append(lines.lead, True)
+    split = ~lead[0::2] | lead[1::2]
     lines.flag(split, starts[0::2], ends[0::2], lambda t, i: f"unpaired token {t!r}")
     pairs = 2 * int(np.argmax(split)) if split.any() else starts.size
     vs, ve, ds, de = starts[0:pairs:2], ends[0:pairs:2], starts[1:pairs:2], ends[1:pairs:2]
 
-    bad = ve - vs != n
-    if not bad.all():  # rows of another width are read at a start in range, and not used
-        bits = np.lib.stride_tricks.sliding_window_view(data, n)[np.minimum(vs, data.size - n)] - np.uint8(48)
-        bad |= (bits > 1).any(axis=1)
+    # a vertex is n binary digits, read by Horner's rule in base 2 unless no
+    # token is n bytes long; before its last 63 places, only 0 is taken
+    bad, v, seen = ve - vs != n, np.zeros(vs.size, np.int64), np.zeros((2, vs.size), np.uint8)
+    for k in range(0 if bad.all() else n):
+        digit = np.take(digits[k:], vs, mode="clip")
+        seen[int(k >= n - 63)] |= digit
+        if k >= n - 63:
+            v = v << 1 | digit
+    bad |= (seen[0] | seen[1]) > 1
     lines.flag(bad, vs, ve, lambda t, i: f"vertex {t!r} is not {n} binary digits")
-    if bad.all():
-        return np.zeros((0, 2), np.int64)
-    high = ~bad & bits[:, : max(n - 63, 0)].any(axis=1)
+    high = ~bad & (seen[0] > 0)
     lines.flag(high, vs, ve, lambda t, i: f"vertex {t!r} beyond 2^63")
     bad |= high
-    width = min(n, 63)
-    packed = np.packbits(bits[:, n - width :], axis=1)
-    words = np.zeros((vs.size, 8), np.uint8)
-    words[:, 8 - packed.shape[1] :] = packed
-    v = words.view(">u8")[:, 0].astype(np.int64) >> (8 * packed.shape[1] - width)
 
     # a direction is decimal digits; any below n fits in the last len(str(n))
-    d, nondigit, big = read_decimals(data, ds, de, len(str(n)))
+    d, nondigit, big = read_decimals(lines, ds, de, len(str(n)))
     lines.flag(nondigit, ds, de, lambda t, i: f"non-integer direction {t!r}")
     outside = ~nondigit & (big | (d >= n))
     lines.flag(outside, ds, de, lambda t, i: f"direction {t.lstrip('0') or '0'} outside [0, {n})")
@@ -313,29 +312,30 @@ def _edge_rows(lines: Lines) -> np.ndarray:
     return np.stack([v, d], axis=1)
 
 
-def parse_cube_edges(text: str) -> CubeEdgeSet:
+def parse_cube_edges(text: str | bytes) -> CubeEdgeSet:
     """File format: first line n, then one edge per line as
     '<vertex-as-binary-string> <direction>'."""
     return CubeEdgeSet.of(*parse_cube_edge_list(text))
 
 
-def serialize_cube_edges(m: CubeEdgeSet) -> str:
-    """The file of m: the header n, then one line '<vertex as n binary
-    digits> <direction>' per edge in (vertex, direction) order, written
-    from the per-direction vertex arrays with one sort and one buffer."""
-    n = m.n
+def write_cube_edges(m: CubeEdgeSet) -> bytes:
+    """The file of m as bytes: the header n, then one line '<vertex as n
+    binary digits> <direction>' per edge in (vertex, direction) order, from
+    one sort, _EDGE_WRITE edges at a time, the NUL bytes dropped."""
+    n, out = m.n, [b"%d\n" % m.n]
     key = np.sort(np.concatenate([np.zeros(0, np.int64), *(n * bit_positions(bits) + d for d, bits in enumerate(m.dirs))]))
-    v, d = np.divmod(key, n)
-    digits = len(str(n - 1))
-    rows = np.zeros((key.size, n + digits + 2), np.uint8)  # 0 bytes are dropped
-    rows[:, :n] = 48  # '0'
-    width = min(n, 64)
-    size = -(-width // 8)
-    big_endian = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :]
-    rows[:, n - width : n] |= np.unpackbits(big_endian, axis=1)[:, 8 * size - width :]
-    rows[:, n] = 32  # ' '
-    for k in range(digits):
-        place = 10 ** (digits - 1 - k)
-        rows[:, n + 1 + k] = np.where((d >= place) | (place == 1), 48 + d // place % 10, 0)
-    rows[:, -1] = 10  # '\n'
-    return f"{n}\n" + rows[rows != 0].tobytes().decode("ascii")
+    digits, width, size = len(str(n - 1)), min(n, 64), -(-min(n, 64) // 8)
+    ends = b"".join((b" %d\n" % d).rjust(digits + 2, b"\0") for d in range(n))  # ' ' d '\n', NULs in front
+    ends = np.frombuffer(ends, np.uint8).reshape(n, digits + 2)
+    for a in range(0, key.size, _EDGE_WRITE):
+        v, d = np.divmod(key[a : a + _EDGE_WRITE], n)
+        rows = np.full((v.size, n + digits + 2), 48, np.uint8)  # '0'
+        big_endian = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :]
+        rows[:, n - width : n] |= np.unpackbits(big_endian, axis=1)[:, 8 * size - width :]
+        rows[:, n:] = np.take(ends, d, axis=0)
+        out.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(out)
+
+
+def serialize_cube_edges(m: CubeEdgeSet) -> str:
+    return write_cube_edges(m).decode("ascii")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -245,16 +245,18 @@ class Lines:
     the offsets of its '\n' bytes, and its tokens, maximal runs of bytes
     above the blanks (space, tab, CR, LF), less the lines whose first token
     starts with '#' and less the header, as their ``starts``, ``ends`` and
-    ``line`` (the count of '\n' before each).  ``n`` is the header's value.
-    ``faults`` are (offset, what) pairs: the scan's first control character
-    but tab, CR and LF and its first CR without LF, then those a parser
-    adds in the order it checks them.  Per byte it holds only bytes and
-    flags, per token a few int64 offsets."""
+    ``lead`` (the first of its line).  ``n`` is the header's value.  Only a
+    block that is not ``plain`` (all digits, spaces and '\n') is searched
+    for comments and faults.  ``faults`` are (offset, what) pairs: the
+    first control character but tab, CR and LF and the first CR without
+    LF, then those a parser adds in the order it checks them.  Per byte it
+    holds only bytes and flags, per token a few int64 offsets."""
 
     def __init__(self, data: np.ndarray, lineno: int, end: int, n: int | None):
         self.data, self.lineno, self.end, self.n = data, lineno, end, n
         self.newlines = np.flatnonzero(data == 10)
-        self.faults = [(int(np.argmax(flags)), what) for flags, what in (
+        self.plain = not data.tobytes().translate(None, b"\n 0123456789")
+        self.faults = [] if self.plain else [(int(np.argmax(flags)), what) for flags, what in (
             ((data < 32) & (data != 9) & (data != 10) & (data != 13), "control character"),
             ((data == 13) & (np.append(data[1:], 0) != 10), "carriage return without line feed"),
         ) if flags.any()]
@@ -263,12 +265,13 @@ class Lines:
         np.greater(data, 32, out=inside[1:-1])
         bounds = np.flatnonzero(inside[1:] != inside[:-1])
         starts, ends = bounds[0::2], bounds[1::2]
-        line = np.searchsorted(self.newlines, starts)
-        lead = np.ones(line.size, bool)  # the first token of its line
-        lead[1:] = line[1:] != line[:-1]
-        comment = lead & (data[starts] == 35)  # '#'
-        keep = ~comment[lead][np.cumsum(lead) - 1]
-        self.starts, self.ends, self.line = starts[keep], ends[keep], line[keep]
+        lead = np.bincount(np.searchsorted(starts, self.newlines), minlength=starts.size + 1)[:-1] > 0
+        lead[:1] = True  # the first token of the block and those after a '\n'
+        if not self.plain:  # drop the comment lines
+            comment = lead & (data[starts] == 35)  # '#'
+            keep = ~comment[lead][np.cumsum(lead) - 1]
+            starts, ends, lead = starts[keep], ends[keep], lead[keep]
+        self.starts, self.ends, self.lead = starts, ends, lead
 
     def text(self, start: int, end: int) -> str:
         return self.data[start:end].tobytes().decode()
@@ -290,7 +293,7 @@ class Lines:
     def read_header(self) -> int:
         """Take the first token line, the header, out of the tokens and
         return its value; refuse it at once unless it is one decimal number."""
-        count = int(np.count_nonzero(self.line == self.line[0]))
+        count = int(np.argmax(np.append(self.lead[1:], True))) + 1
         header = self.text(self.starts[0], self.ends[count - 1])
         if count == 1 and header.isdigit():  # int() would take a sign or '_'
             try:
@@ -301,60 +304,73 @@ class Lines:
             self.faults.append((int(self.starts[0]), f"header must be a single integer, got {header!r}"
                                 if count > 1 else f"non-integer token {header!r}"))
             self.refuse()
-        self.starts, self.ends, self.line = self.starts[1:], self.ends[1:], self.line[1:]
+        self.starts, self.ends, self.lead = self.starts[1:], self.ends[1:], self.lead[1:]
         return self.n
 
 
-def read_lines(text: str, name: str, block: int, header: str | None = None) -> Iterator[Lines]:
-    """The ``name`` file ``text`` as Lines of about ``block`` bytes each,
-    ending at line ends.  The file is ASCII.  With ``header``, which names
-    what it holds, the first token line is the header, and the Lines come
-    from its own on, each with its value as ``n``.  Before it reads on, the
-    reader raises the first fault of the Lines it gave, so the first fault
-    in file order is the one reported."""
-    if not text.isascii():
+def ascii_bytes(text: str | bytes, name: str) -> bytes:
+    """The ``name`` file ``text``, a str or any bytes-like, as bytes; refused unless ASCII."""
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
+    if not raw.isascii():
         raise FormatError(f"{name} files are ASCII")
+    return raw
+
+
+def read_lines(text: str | bytes, name: str, block: int, header: str | None = None) -> Iterator[Lines]:
+    """The ``name`` file ``text`` as Lines of about ``block`` bytes each,
+    views of its bytes ending at line ends.  The file is ASCII.  With
+    ``header``, which names what it holds, the first token line is the
+    header, and the Lines come from its own on, each with its value as
+    ``n``.  Before it reads on, the reader raises the first fault of the
+    Lines it gave, so the first fault in file order is the one reported,
+    and lets go of them: a caller that does too holds one at a time."""
+    raw = ascii_bytes(text, name)
     n, lineno, at = None, 0, 0
-    while at < len(text):
-        end = text.find("\n", at + block) + 1 or len(text)
-        lines = Lines(np.frombuffer(text[at:end].encode("ascii"), np.uint8), lineno, end, n)
+    while at < len(raw):
+        end = raw.find(b"\n", at + block) + 1 or len(raw)
+        lines = Lines(np.frombuffer(raw, np.uint8, end - at, at), lineno, end, n)
         if header and n is None and lines.starts.size:
             n = lines.read_header()
         if n is not None or not header:
             yield lines
         lines.refuse()
         lineno, at = lineno + lines.newlines.size, end
+        del lines
     if header and n is None:
         raise FormatError(f"missing header line with {header}")
 
 
-def read_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, wide: int):
-    """The tokens [starts, ends) of ``data`` read as decimal numbers: their
+def read_decimals(lines: Lines, starts: np.ndarray, ends: np.ndarray, wide: int):
+    """The tokens [starts, ends) of ``lines`` read as decimal numbers: their
     values from their last ``wide`` digits, as uint64, then per token
-    whether some byte is not a digit and whether some digit before the
-    last ``wide`` is not 0.  Per byte it holds only bytes and flags."""
-    padded, length = np.append(np.zeros(wide, np.uint8), data), ends - starts
-    value, nondigit, big = np.zeros(starts.size, np.uint64), np.zeros(starts.size, bool), np.zeros(starts.size, bool)
+    whether some byte is not a digit (only in a block that is not plain)
+    and whether some digit before the last ``wide`` is not 0."""
+    data, length = lines.data, ends - starts
+    nondigit, big = np.zeros(starts.size, bool), np.zeros(starts.size, bool)
+    if not lines.plain:  # over each token, then over the blanks after it
+        nondigit = np.logical_or.reduceat(np.append(data - np.uint8(48) > 9, False), np.stack([starts, ends], 1).ravel())[::2]
+    padded = np.append(np.zeros(wide, np.uint8), data)
+    value = np.zeros(starts.size, np.uint16 if wide <= 4 else np.uint32 if wide <= 9 else np.uint64)  # holds `wide` digits
     for k in range(wide):  # Horner's rule over the last `wide` places, highest first
-        digit, inside = padded[ends + k] - np.uint8(48), length >= wide - k
-        value = value * np.uint64(10) + np.where(inside, digit, np.uint8(0))
-        nondigit |= inside & (digit > 9)
+        digit = np.take(padded[k:], ends) - np.uint8(48)
+        digit *= length >= wide - k  # 0 before the token
+        value *= 10
+        value += digit
     if length.max(initial=0) > wide:
         span = np.zeros(data.size + 1, np.int8)  # 1 on the bytes before a token's last `wide`
         span[starts] += 1
         span[np.maximum(starts, ends - wide)] -= 1
         head = np.cumsum(span[:-1], dtype=np.int8).view(bool)
-        nondigit |= np.logical_or.reduceat(head & (data - np.uint8(48) > 9), starts)
         big = np.logical_or.reduceat(head & (data != 48), starts)
-    return value, nondigit, big
+    return value.astype(np.uint64), nondigit, big
 
 
 _PARSE_BLOCK = 1 << 15  # bytes read at once, up to a line end; 1 << 18 more than doubles the peak
 _WRITE_BLOCK = 1 << 15  # membership pairs written at once
 
 
-def parse_collection(text: str) -> Collection:
-    """Read the collection file format.
+def parse_collection(text: str | bytes) -> Collection:
+    """Read the collection file format, from a str or any bytes-like.
 
     First non-comment line: the ground-set size n.  Each further
     non-comment line: one set as blank-separated 0-based elements.
@@ -368,33 +384,31 @@ def parse_collection(text: str) -> Collection:
     """
     sizes, elements, used = [np.zeros(0, np.int64)], np.zeros(0, np.int64), 0
     for lines in read_lines(text, "collection", _PARSE_BLOCK, "the ground-set size"):
-        block = _read_sets(lines, sizes)
+        n, end, block = lines.n, lines.end, _read_sets(lines, sizes)
+        del lines  # let go before the next block is scanned
         if used + block.size > elements.size:  # realloc to the projected size: no second copy
-            elements.resize((used + block.size) * len(text) // lines.end, refcheck=False)
+            elements.resize((used + block.size) * max(len(text), end) // end, refcheck=False)
         elements[used : used + block.size] = block
         used += block.size
     elements.resize(used, refcheck=False)
-    n = lines.n  # the header's Lines always come
     return Collection(n, Incidence(n, np.append(0, np.cumsum(np.concatenate(sizes))), elements))
 
 
 def _read_sets(lines: Lines, sizes: list) -> np.ndarray:
     """Check the sets of ``lines``, adding their first fault; append their
     sizes to ``sizes`` and return their elements, increasing within each."""
-    data, starts, ends, line, n = lines.data, lines.starts, lines.ends, lines.line, lines.n
+    starts, ends, lead, n = lines.starts, lines.ends, lines.lead, lines.n
 
     # 19 digits hold every element below 2^63
-    value, nondigit, big = read_decimals(data, starts, ends, min(int((ends - starts).max(initial=0)), 19))
+    value, nondigit, big = read_decimals(lines, starts, ends, min(int((ends - starts).max(initial=0)), 19))
     outside = ~nondigit & (big | (value >= min(n, 1 << 63)))
     bad = nondigit | outside
 
     # one set per line; a line whose elements do not rise is sorted, and
     # a repeated element is flagged at its later tokens
-    first = np.flatnonzero(np.diff(line, prepend=-1))
-    x = np.where(bad, 0, value).astype(np.int64)
-    rising = x[1:] > x[:-1]
-    rising[first[1:] - 1] = True
-    if not rising.all():
+    x = (value * ~bad).view(np.int64)
+    if not ((x[1:] > x[:-1]) | lead[1:]).all():
+        line = np.cumsum(lead)
         order = np.lexsort((np.arange(x.size), x, line))  # a line's equal tokens in file order
         again = (x[order[1:]] == x[order[:-1]]) & (line[order[1:]] == line[order[:-1]])
         bad[order[1:][again]] = True
@@ -408,68 +422,78 @@ def _read_sets(lines: Lines, sizes: list) -> np.ndarray:
                 else f"element {digits} at or above 2^63")
 
     lines.flag(bad, starts, ends, what)
-    sizes.append(np.diff(first, append=x.size))
+    sizes.append(np.diff(np.flatnonzero(lead), append=x.size))
     return x
 
 
-def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:
-    """Canonical text form; parse(serialize(c)) == c.
+@cache
+def _digit_table() -> np.ndarray:
+    """Row g < 10^4: the digits of g right-aligned in four bytes, NUL for
+    its leading zeros, then a space.  Built on the first write; read-only."""
+    rows = ((b"%4d|" * 10**4) % tuple(range(10**4))).replace(b" ", b"\0").replace(b"|", b" ")
+    return np.frombuffer(rows, np.uint8).reshape(10**4, 5)
+
+
+def write_collection(c: Collection, header_comments: Iterable[str] = ()) -> bytes:
+    """Canonical file of c as bytes; parse_collection(write_collection(c)) == c.
 
     Empty member sets cannot be represented (the format has no line for
     them), nor can comments beyond tab and printable ASCII be read back,
-    so both are rejected.  The header and the sets are written into one
-    byte buffer, the sets from the record _WRITE_BLOCK elements at a time,
-    each digit place over the elements that still have one.
+    so both are rejected.  The record is written _WRITE_BLOCK elements at
+    a time: one ``_digit_table`` gather per base-10^4 group of digits, a
+    '\n' after each set's last element, and the NUL bytes dropped.
     """
-    lines = [ln for h in header_comments for ln in h.splitlines() or [h]]  # one comment per line
-    out = [ln if ln.startswith("#") else f"# {ln}" for ln in lines]
+    out = [ln if ln.startswith("#") else f"# {ln}" for h in header_comments for ln in h.splitlines() or [h]]
     for ln in out:
         if re.search(r"[^\t -\x7f]", ln):
             raise ValueError(f"comment {ln!r} holds a character that collection files refuse")
-    out.append(str(c.n))
-    head = ("\n".join(out) + "\n").encode("ascii")
+    out = [("\n".join(out + [str(c.n)]) + "\n").encode("ascii")]
     inc = c.incidence
     sizes = np.diff(inc.indptr)
     if (sizes == 0).any():
         raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
-    last = inc.indptr[1:] - 1  # each set's last element, followed by '\n'
-    e = inc.elements
-    digits = np.ones(e.size, np.uint8)
-    for k in range(1, len(str(int(e.max()))) if e.size else 1):
-        digits += e >= 10**k
-    buf = np.full(len(head) + int(digits.sum(dtype=np.int64)) + e.size, 32, np.uint8)  # ' '
-    buf[: len(head)] = np.frombuffer(head, np.uint8)
-    at = len(head)
+    last, e = inc.indptr[1:] - 1, inc.elements  # each set's last element, followed by '\n'
     for a in range(0, e.size, _WRITE_BLOCK):
-        end = at + np.cumsum(digits[a : a + _WRITE_BLOCK] + 1, dtype=np.int64)  # past each separator
-        lo, hi = np.searchsorted(last, [a, a + end.size])
-        buf[end[last[lo:hi] - a] - 1] = 10
-        at, pos, rest = int(end[-1]), end - 2, e[a : a + _WRITE_BLOCK]
-        while pos.size:  # lowest digit place first
-            buf[pos] = 48 + rest % 10
-            rest = rest // 10
-            pos, rest = pos[rest > 0] - 1, rest[rest > 0]
-    return str(buf, "ascii")
+        q = e[a : a + _WRITE_BLOCK, None]
+        if q.max() < 10**4:
+            rows = np.take(_digit_table(), q, axis=0)
+        else:  # one column per base-10^4 group, the lowest last
+            q = q // 10 ** (4 * np.arange((len(str(int(q.max()))) - 1) // 4, -1, -1))
+            rows = np.take(_digit_table(), q % 10**4, axis=0)
+            rows[:, :-1, 4] = 0  # one separator, after the lowest group
+            rows[..., :4] |= (q >= 10**4)[..., None] * np.uint8(48)  # inner groups keep their zeros
+            rows[:, :-1] *= (q[:, :-1] > 0)[..., None]  # no group above the first digit
+        lo, hi = np.searchsorted(last, [a, a + q.shape[0]])
+        rows[last[lo:hi] - a, -1, 4] = 10
+        out.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(out)
 
 
-def parse_permutation(text: str) -> Permutation:
-    """Read the permutation file format: one data line, image[j] at
-    position j, read by ``read_lines`` in the blanks, comments, line ends
-    and numbers of the collection files.  The 0-point permutation is one
-    blank line, which is what serialize_permutation writes for it.
-    """
-    data = [lines for lines in read_lines(text, "permutation", _PARSE_BLOCK) if lines.starts.size]
-    if not data and any(not raw.strip() for raw in text.splitlines()):
+def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:
+    return write_collection(c, header_comments).decode("ascii")
+
+
+def parse_permutation(text: str | bytes) -> Permutation:
+    """Read the permutation file format, a str or any bytes-like: one data
+    line, image[j] at position j, read by ``read_lines`` in the blanks,
+    comments, line ends and numbers of the collection files.  The 0-point
+    permutation is one blank line, which is what serialize_permutation
+    writes for it."""
+    raw, kept, count = ascii_bytes(text, "permutation"), None, 0
+    for lines in read_lines(raw, "permutation", _PARSE_BLOCK):
+        if lines.starts.size:  # the first block with data is kept
+            kept, count = lines if kept is None else kept, count + 1
+        del lines
+    if kept is None and any(not line.strip() for line in raw.splitlines()):
         return Permutation(0, ())
-    if len(data) != 1 or data[0].line[-1] != data[0].line[0]:
+    if count != 1 or kept.lead[1:].any():
         raise FormatError("permutation file must hold exactly one data line")
-    (lines,) = data
-    lineno = lines.lineno + int(lines.line[0]) + 1
-    starts, ends = lines.starts, lines.ends
-    image, nondigit, big = read_decimals(lines.data, starts, ends, min(int((ends - starts).max()), 19))
+    lineno = kept.lineno + int(np.searchsorted(kept.newlines, kept.starts[0])) + 1
+    starts, ends = kept.starts, kept.ends
+    image, nondigit, big = read_decimals(kept, starts, ends, min(int((ends - starts).max()), 19))
     if nondigit.any():
         i = int(np.argmax(nondigit))
-        raise FormatError(f"line {lineno}: non-integer token {lines.text(starts[i], ends[i])!r}")
+        raise FormatError(f"line {lineno}: non-integer token {kept.text(starts[i], ends[i])!r}")
     image[big] = image.size  # past n, so refused as no bijection
     try:
         return Permutation(image.size, tuple(image.tolist()))

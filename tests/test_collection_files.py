@@ -1,13 +1,18 @@
 """The collection file's array parser and writer, the incidence record, and
 the conflict graph and re-verification read from it, against the
 token-by-token originals in oracles.py."""
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
-from setpack import Collection, Permutation, Subset, cli, invert, pack, setcore
+from setpack import Collection, Permutation, Subset, cli, invert, pack, qcube, setcore
 from setpack.invert import conflict_graph, decide_invertible
 from setpack.setcore import (
     FormatError,
@@ -17,6 +22,7 @@ from setpack.setcore import (
     parse_permutation,
     serialize_collection,
     serialize_permutation,
+    write_collection,
 )
 
 from oracles import (
@@ -371,3 +377,97 @@ def test_parse_holds_no_more_memory_than_the_oracle():
             tracemalloc.stop()
 
     assert peak(parse_collection) <= peak(naive_parse_collection)
+
+
+GROUP_EDGES = (9_999, 10_000, 10_001, 10**8 - 1, 10**8 + 1, 1 << 63)
+EDGE_ELEMENTS = (0, 9_999, 10_000, 10**8 - 1, 10**8, (1 << 63) - 1)
+
+
+@pytest.mark.parametrize("n", GROUP_EDGES)
+def test_digit_group_edges_match_the_oracles(n):
+    # the writer writes base-10^4 groups: inner groups keep their zeros and
+    # groups above the first digit are dropped; the reader takes the text
+    # back with CRLF line ends, comment lines and 20-odd leading zeros
+    below = [x for x in EDGE_ELEMENTS if x < n]
+    sets = [below, below[::-2], below[-1:], below[:1]]
+    c = Collection.of(n, sets)
+    text = serialize_collection(c, ("edges",))
+    assert text == f"# edges\n{n}\n" + "".join(" ".join(map(str, sorted(s))) + "\n" for s in sets)
+    assert write_collection(c, ("edges",)) == text.encode()
+    # the oracles hold a set as one Python int of n bits: not at n = 2^63
+    oracle = n <= 10**8 + 1
+    if oracle:
+        assert text == naive_serialize_collection(c, ("edges",))
+    crlf = text.replace("\n", "\r\n")
+    commented = text.replace("\n", "\n# note 1 2\n#\n", 2)
+    padded = f"{n}\n" + "".join(" ".join("0" * 22 + str(x) for x in s) + "\n" for s in sets)  # and unsorted
+    for variant in (text, crlf, commented, padded, padded.replace(" ", "\t  ")):
+        assert parse_collection(variant) == parse_collection(variant.encode()) == c
+        if oracle:
+            assert naive_parse_collection(variant) == c
+
+
+@pytest.mark.parametrize("token", ["9223372036854775808", "9999999999999999999", "18446744073709551616",
+                                   "0" * 30 + "9223372036854775808"])
+def test_tokens_at_or_above_2_63_are_refused_with_their_digits(token):
+    # 19 digits are read as uint64, which does not wrap: a token at or
+    # above 2^63 is refused, never taken for a smaller element
+    digits = token.lstrip("0")
+    with pytest.raises(FormatError, match=re.escape(f"line 2: element {digits} outside [0, {1 << 63})")):
+        parse_collection(f"{1 << 63}\n{token}\n")
+    with pytest.raises(FormatError, match=re.escape(f"line 4: element {digits} at or above 2^63")):
+        parse_collection(f"{10**30}\r\n# c\r\n0\r\n1 {token} 2\r\n")
+
+
+def test_parsers_take_any_bytes_like():
+    files = [(parse_collection, "# c\n5\n0 4\n3\n", Collection.of(5, [[0, 4], [3]])),
+             (parse_permutation, "1 0\r\n", Permutation(2, (1, 0))),
+             (qcube.parse_cube_edges, "2\n00 1\n", qcube.CubeEdgeSet.of(2, [(0, 1)]))]
+    for parse, text, value in files:
+        for data in (text, text.encode(), bytearray(text.encode()), memoryview(text.encode())):
+            assert parse(data) == value
+    assert parse_collection(memoryview(files[0][1].encode()).cast("I")) == files[0][2]  # 4-byte items
+    for data in ("4\n0 \u00e9\n", "4\n0 \u00e9\n".encode(), b"4\n0 \xff\n"):
+        with pytest.raises(FormatError, match="collection files are ASCII"):
+            parse_collection(data)
+        with pytest.raises(FormatError, match="collection files are ASCII"):
+            pack.parse_family(data, "1/2")
+
+
+def test_the_reader_holds_one_block_at_a_time(monkeypatch):
+    # read_lines lets go of each Lines it gave once the next one comes, and
+    # each parser lets go of it before the next block is scanned
+    fam, m = pack.construct_packing(28, "1/2"), qcube.recursive_blocking_set(6)
+    for text in (serialize_collection(fam), qcube.serialize_cube_edges(m)):
+        given = []
+        for lines in setcore.read_lines(text, "line", 64, "the header"):
+            assert all(ref() is None for ref in given)
+            given.append(weakref.ref(lines))
+        assert len(given) > 5
+    made = []
+
+    class Lines(setcore.Lines):
+        def __init__(self, *args):
+            assert all(ref() is None for ref in made), "an earlier block is still held"
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(setcore, "Lines", Lines)
+    monkeypatch.setattr(setcore, "_PARSE_BLOCK", 64)
+    monkeypatch.setattr(qcube, "_EDGE_BLOCK", 64)
+    assert pack.parse_family(pack.serialize_family(fam)) == fam and len(made) > 5
+    made.clear()
+    assert qcube.parse_cube_edges(qcube.serialize_cube_edges(m)) == m and len(made) > 5
+
+
+def test_a_fresh_import_builds_no_digit_table():
+    # the writer's table is built on the first write, so importing setpack
+    # costs no more than before
+    code = ("from setpack import setcore\n"
+            "assert setcore._digit_table.cache_info().currsize == 0\n"
+            "setcore.write_collection(setcore.Collection.of(3, [[0, 2]]))\n"
+            "assert setcore._digit_table.cache_info().currsize == 1\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -16,6 +16,7 @@ from setpack.qcube import (
     parse_cube_edges,
     recursive_blocking_set,
     serialize_cube_edges,
+    write_cube_edges,
 )
 from setpack.setcore import FormatError, bit_positions
 
@@ -296,6 +297,25 @@ def test_parse_holds_less_memory_than_the_oracle():
             tracemalloc.stop()
 
     assert peak(parse_cube_edges) <= peak(lambda t: CubeEdgeSet.of(*naive_parse_cube_edge_list(t)))
+
+
+def test_write_holds_less_than_three_copies_of_its_file(built):
+    m = built[0][-1]  # the assisted set of Q_16
+    assert m.n == 16
+    tracemalloc.start()
+    try:
+        data = write_cube_edges(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.decode() == serialize_cube_edges(m)
+    assert peak < 3 * len(data)
+
+
+def test_directions_of_any_width_are_written_whole():
+    m = CubeEdgeSet.of(10_002, [(0, 10_001), (0, 3), (1 << 20, 0), (6, 1_000)])
+    text = serialize_cube_edges(m)
+    assert text == naive_serialize_cube_edges(m) and parse_cube_edges(text.encode()) == m
 
 
 def test_vertex_range_is_refused_before_any_vector():

@@ -80,8 +80,10 @@ def test_parsed_record_matches_the_oracle(c, rng):
 @SETTINGS
 @given(st.integers(0, 70).flatmap(lambda n: st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=n and 9), max_size=9).map(lambda sets: (n, sets))))
 def test_record_of_subsets_with_empty_sets_matches_the_oracle(case):
-    c = Collection.of(*case)
-    assert same_record(c.incidence, SubsetIncidence(c.n, c.sets))
+    # the oracle is built from the raw lists, not from the record under test
+    n, sets = case
+    c = Collection.of(n, sets)
+    assert same_record(c.incidence, SubsetIncidence(n, [Subset.of(n, s) for s in sets]))
     rebuilt = Collection(c.n, c.incidence)  # and back: the Subsets from the record
     assert rebuilt.sets == c.sets and rebuilt == c and repr(rebuilt) == repr(c)
 
