@@ -12,7 +12,12 @@ edges of Q_n left uncovered by N' and the pullback of N''.
 The doubling construction takes N'' to be a mirror (or a direction-
 permuted mirror) of N' and picks W' from König's minimum vertex cover of
 the residual graph, which is the same for every maximum matching: a
-label-order greedy on index rows, completed by alternating walks.
+label-order greedy on index rows, completed by alternating walks.  The
+plain doubling (N'' = N', from the edge (0, 0) of Q_2) adds no direction-1
+edge, so the 2^(n-1) direction-1 edges of Q_n are a perfect matching in
+every residual and the cover is the whole even side.  So M_n holds no
+(v, 1), (v, 0) iff bit 1 of v is clear, and (v, d), d >= 2, iff bit d of
+v is clear and its low d bits have even parity: (n-1)·2^(n-2) edges.
 Permuting directions so that the scarce non-N' directions at heavily
 covered vertices move off themselves is exactly a set-inversion problem,
 which the assisted variant hands to the derandomized inverting search.
@@ -25,11 +30,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kappa import find_simple_permutation
-from .setcore import Collection, Incidence, Lines, Permutation, bit_positions, bits_of, read_decimals, read_lines
+from .setcore import MAX_BITS, Collection, Incidence, Lines, Permutation, _scatter, bit_positions, bits_of, read_decimals, read_lines
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
-# under 10 s and 1 GB: 7.0 s, 569 MB at n = 20; 14.7 s, 1,128 MB at n = 21 (2-core VM).
-DEFAULT_SQUARE_LIMIT = 20
+# under 10 s and 1 GB: 8.1-8.6 s, 636 MB at n = 21; the n = 22 build alone takes 1,295 MB (2-core VM).
+DEFAULT_SQUARE_LIMIT = 21
 
 
 def _clear(d: int, width: int) -> int:
@@ -40,14 +45,6 @@ def _clear(d: int, width: int) -> int:
         mask |= mask << span
         span *= 2
     return mask
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    """True where ``v >= 0`` has an odd number of set bits."""
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,12 @@ class CubeEdgeSet:
         if outside.any():
             i = int(np.argmax(outside))
             raise ValueError(f"edge ({v[i]}, {d[i]}) outside Q_{n}")
-        by_dir = np.split(v[np.argsort(d)], np.cumsum(np.bincount(d, minlength=n)))[:n]
-        return cls(n, tuple(map(bits_of, by_dir)))
+        top = int(v.max(initial=-1))
+        if top >= MAX_BITS:
+            raise MemoryError(f"a bit vector with bit {top} set is longer than {MAX_BITS} bits")
+        present = np.bincount(d, minlength=n) > 0  # one scattered row per direction with an edge, in order
+        rows = iter(_scatter(np.count_nonzero(present), top // 8 + 1, np.cumsum(present)[d] - 1, v))
+        return cls(n, tuple(int.from_bytes(next(rows), "little") if p else 0 for p in present.tolist()))
 
     def __len__(self) -> int:
         return sum(bits.bit_count() for bits in self.dirs)
@@ -113,8 +114,10 @@ def _index_rows(residual: Sequence[int]) -> tuple[np.ndarray, list[int], list[in
     n = len(residual)
     lo = np.concatenate([bit_positions(bits) for bits in residual])
     hi = lo | np.repeat(1 << np.arange(n), [bits.bit_count() for bits in residual])
-    odd = _parity(lo)  # lo and hi differ in one bit, so exactly one of them is even
-    key = np.sort(np.where(odd, hi << n | lo, lo << n | hi))  # (even end, odd end) pairs in order
+    odd = np.zeros(1, bool)  # odd[v] for the labels below 2^b, doubled per bit b
+    for _ in range(n):
+        odd = np.concatenate([odd, ~odd])  # v + 2^b flips the parity of v
+    key = np.sort(np.where(odd[lo], hi << n | lo, lo << n | hi))  # (even end, odd end) pairs; lo, hi differ in one bit
     count = np.bincount(key >> n, minlength=1 << n)
     evens = np.flatnonzero(count)
     return evens, [0, *np.cumsum(count[evens]).tolist()], (key & (1 << n) - 1).tolist()
@@ -182,28 +185,20 @@ def _permute_directions(m: CubeEdgeSet, p: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _double(m: CubeEdgeSet, mirror: Sequence[int]) -> CubeEdgeSet:
-    """One doubling step: copies m and ``mirror`` into the two halves of
-    Q_{n+1} and adds cross edges at a minimum cover of what neither blocks."""
-    size = 1 << m.n
-    residual = [_clear(d, size) & ~(e | f) for d, (e, f) in enumerate(zip(m.dirs, mirror))]
-    cover = _min_vertex_cover(residual)
-    lifted = tuple(e | f << size for e, f in zip(m.dirs, mirror))
-    return CubeEdgeSet(m.n + 1, lifted + (cover,))
-
-
 def recursive_blocking_set(n: int, limit: int = DEFAULT_SQUARE_LIMIT) -> CubeEdgeSet:
     """Square-blocking set of Q_n by doubling from the single edge of Q_2.
 
-    Each step mirrors the current set into the second copy, so the
-    residual is everything the current set misses; the result is verified
-    square-blocking whenever n is within the square-check limit.
+    Each step mirrors the current set into the second copy and puts the
+    cross edges at the whole even side, the cover in closed form (module
+    docstring); the result is verified whenever n is within the limit.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = CubeEdgeSet(2, (1, 0))
-    for _ in range(n - 2):
-        m = _double(m, m.dirs)
+    dirs, even = (1, 0), 0b1001  # M_2, and the labels of Q_2 with even parity
+    for k in range(2, n):  # each direction tiles into both halves, direction k is the evens of Q_k
+        dirs = tuple(e | e << (1 << k) for e in dirs) + (even,)
+        even |= (even ^ ((1 << (1 << k)) - 1)) << (1 << k)  # v + 2^k flips the parity of v
+    m = CubeEdgeSet(n, dirs)
     if n <= limit and not is_square_blocking(m, limit):
         raise RuntimeError(f"doubled set does not block every square of Q_{n}")
     return m
@@ -244,15 +239,20 @@ def inversion_assisted_blocking(
     if n < 3:
         raise ValueError("need n >= 3")
     base = recursive_blocking_set(n - 1, limit)
-    plain = _double(base, base.dirs)
-
     perm, _count = find_simple_permutation(direction_collection(base))
-    assisted = _double(base, _permute_directions(base, perm))
+    mirror = _permute_directions(base, perm)
 
-    result = assisted if len(assisted) < len(plain) else plain
-    if n <= limit and not is_square_blocking(result, limit):
+    # one doubling step: base and mirror in the halves of Q_n, cross edges at a cover of the rest
+    residual = [_clear(d, 1 << base.n) & ~(e | f) for d, (e, f) in enumerate(zip(base.dirs, mirror))]
+    lifted = tuple(e | f << (1 << base.n) for e, f in zip(base.dirs, mirror))
+    assisted = CubeEdgeSet(n, lifted + (_min_vertex_cover(residual),))
+
+    saved = ((n - 1) << (n - 2)) - len(assisted)  # the plain M_n has (n-1)·2^(n-2) edges
+    if saved <= 0:
+        return recursive_blocking_set(n, limit), 0
+    if n <= limit and not is_square_blocking(assisted, limit):
         raise RuntimeError(f"assisted set does not block every square of Q_{n}")
-    return result, len(plain) - len(result)
+    return assisted, saved
 
 
 _EDGE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end

@@ -17,7 +17,11 @@ line-by-line parser naive_parse_cube_edge_list, its tuple-sorting writer
 naive_serialize_cube_edges and naive_min_vertex_cover, the cube doubling's
 König cover as the library first built it: naive_residual_graph, the
 comprehension-built bitmask rows, matched by naive_max_bipartite_matching
-and walked by naive_alternating_reach; and the collection
+and walked by naive_alternating_reach; doubling_step,
+doubling_blocking_set and doubling_assisted_blocking, the cube doubling
+as it ran before its plain cover was known in closed form: one König
+cover by the library's _min_vertex_cover per step, the plain steps
+included, and two covers per assisted build; and the collection
 file's token-by-token parser naive_parse_collection, its line-joining
 writer naive_serialize_collection, the permutation file's token-by-token
 parser naive_parse_permutation, the per-bit naive_conflict_graph and
@@ -51,7 +55,7 @@ from setpack import (
     lambda_simple,
     sigma,
 )
-from setpack import decide_invertible, pack
+from setpack import decide_invertible, pack, qcube
 from setpack.invert import check_triple
 from setpack.pack import LevelTrace, PackingReport, constituent_table
 from setpack.setcore import FormatError
@@ -590,6 +594,50 @@ def naive_min_vertex_cover(residual) -> int:
     return sum(1 << v for i, v in enumerate(evens) if not left >> i & 1) + sum(
         1 << v for j, v in enumerate(odds) if right >> j & 1
     )
+
+
+def doubling_step(m, mirror):
+    """One doubling step: copies m and ``mirror`` into the two halves of
+    Q_{n+1} and adds cross edges at a minimum cover of what neither blocks."""
+    size = 1 << m.n
+    residual = [qcube._clear(d, size) & ~(e | f) for d, (e, f) in enumerate(zip(m.dirs, mirror))]
+    cover = qcube._min_vertex_cover(residual)
+    lifted = tuple(e | f << size for e, f in zip(m.dirs, mirror))
+    return qcube.CubeEdgeSet(m.n + 1, lifted + (cover,))
+
+
+def doubling_blocking_set(n: int, limit: int = qcube.DEFAULT_SQUARE_LIMIT):
+    """Square-blocking set of Q_n by doubling from the single edge of Q_2.
+
+    Each step mirrors the current set into the second copy, so the
+    residual is everything the current set misses; the result is verified
+    square-blocking whenever n is within the square-check limit.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    m = qcube.CubeEdgeSet(2, (1, 0))
+    for _ in range(n - 2):
+        m = doubling_step(m, m.dirs)
+    if n <= limit and not qcube.is_square_blocking(m, limit):
+        raise RuntimeError(f"doubled set does not block every square of Q_{n}")
+    return m
+
+
+def doubling_assisted_blocking(n: int, limit: int = qcube.DEFAULT_SQUARE_LIMIT):
+    """Doubling step for Q_n with a direction-permuted mirror, against the
+    plain doubling step; the smaller result and the edges it saves."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    base = doubling_blocking_set(n - 1, limit)
+    plain = doubling_step(base, base.dirs)
+
+    perm, _count = qcube.find_simple_permutation(qcube.direction_collection(base))
+    assisted = doubling_step(base, qcube._permute_directions(base, perm))
+
+    result = assisted if len(assisted) < len(plain) else plain
+    if n <= limit and not qcube.is_square_blocking(result, limit):
+        raise RuntimeError(f"assisted set does not block every square of Q_{n}")
+    return result, len(plain) - len(result)
 
 
 def _data_lines(text: str):

@@ -1,5 +1,6 @@
-"""The array parser, writer and vertex cover of setpack.qcube against
-their line-by-line originals in oracles.py."""
+"""The array parser, writer, vertex cover and closed-form plain doubling
+of setpack.qcube against their line-by-line and matching originals in
+oracles.py."""
 import random
 import re
 import tracemalloc
@@ -21,6 +22,8 @@ from setpack.qcube import (
 from setpack.setcore import FormatError, bit_positions
 
 from oracles import (
+    doubling_assisted_blocking,
+    doubling_blocking_set,
     naive_min_vertex_cover,
     naive_parse_cube_edge_list,
     naive_serialize_cube_edges,
@@ -30,8 +33,9 @@ from oracles import (
 @pytest.fixture(scope="module")
 def built():
     """Every plain and assisted blocking set for n = 2..16, and every
-    distinct residual their doublings cover, keyed by the dimension built
-    and "plain" or "assisted"."""
+    distinct residual a doubling covers, keyed by the dimension built and
+    "plain" or "assisted": the plain ones from the matching doubling of
+    oracles.py, since the library's plain doubling runs no cover."""
     residuals, kind = {}, ["plain"]
     cover = qcube._min_vertex_cover
 
@@ -41,10 +45,23 @@ def built():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcube, "_min_vertex_cover", record)
+        doubling_blocking_set(16)  # every plain step from Q_2 on
         sets = [recursive_blocking_set(n) for n in range(2, 17)]
         kind[0] = "assisted"
         sets += [inversion_assisted_blocking(n)[0] for n in range(3, 17)]
     return sets, residuals
+
+
+def test_closed_form_files_match_the_matching_doubling(built):
+    # the library's plain sets, and the assisted sets built on them, equal
+    # those of the doubling that matched every step, byte for byte
+    sets, _ = built
+    oracle = [doubling_blocking_set(n) for n in range(2, 17)]
+    oracle += [doubling_assisted_blocking(n)[0] for n in range(3, 17)]
+    assert [m.n for m in sets] == [m.n for m in oracle]
+    for m, expected in zip(sets, oracle):
+        assert m == expected, m.n
+        assert write_cube_edges(m) == write_cube_edges(expected), m.n
 
 
 def parsed(parse, text):

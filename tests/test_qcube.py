@@ -187,6 +187,52 @@ def test_recursive_blocking_sizes_and_validity():
     assert 3 <= sizes[3] <= 4
 
 
+def test_plain_sets_have_no_direction_1_edge():
+    # the proof of the closed form: the direction-1 edges of Q_n, a perfect
+    # matching, all lie in the residual of the plain step from M_n
+    for n in range(2, 21):
+        m = recursive_blocking_set(n)
+        assert m.dirs[1] == 0
+        assert (qcube._clear(1, 1 << n) & ~m.dirs[1]).bit_count() == 1 << (n - 1)
+        assert len(m) == (n - 1) * (1 << (n - 2))
+    # so König's cover of that residual is the whole even side of Q_n
+    for n in range(2, 11):
+        m = recursive_blocking_set(n)
+        residual = [qcube._clear(d, 1 << n) & ~e for d, e in enumerate(m.dirs)]
+        assert _min_vertex_cover(residual) == sum(1 << v for v in range(1 << n) if v.bit_count() % 2 == 0)
+
+
+def test_plain_sets_follow_the_closed_form():
+    # (v, 0) iff bit 1 of v is clear, no (v, 1), and (v, d >= 2) iff the
+    # low d bits of v have even parity
+    def member(v, d):
+        return not v >> 1 & 1 if d == 0 else d >= 2 and (v & ((1 << d) - 1)).bit_count() % 2 == 0
+
+    for n in range(2, 11):
+        expected = [(v, d) for v, d in canonical_edges(n) if member(v, d)]
+        assert recursive_blocking_set(n) == CubeEdgeSet.of(n, expected)
+
+
+def test_covers_run_once_per_assisted_build(monkeypatch):
+    calls, cover = [], qcube._min_vertex_cover
+    monkeypatch.setattr(qcube, "_min_vertex_cover", lambda residual: calls.append(len(residual)) or cover(residual))
+    for n in range(2, 15):
+        recursive_blocking_set(n)
+    assert calls == []
+    for n in range(3, 15):
+        inversion_assisted_blocking(n)
+        assert calls == [n - 1]
+        calls.clear()
+
+
+def test_assisted_falls_back_to_the_plain_set(monkeypatch):
+    # an unpermuted mirror leaves the plain residual, whose cover is the
+    # whole even side, so nothing is saved and the plain set comes back
+    monkeypatch.setattr(qcube, "_permute_directions", lambda m, p: m.dirs)
+    for n in range(3, 10):
+        assert inversion_assisted_blocking(n) == (recursive_blocking_set(n), 0)
+
+
 def test_direction_collection_shape():
     m = recursive_blocking_set(4)
     col = direction_collection(m)
