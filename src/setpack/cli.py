@@ -73,9 +73,10 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _write(path: str, content: bytes):
+def _write(path: str, chunks):
+    # each chunk is written as the iterable makes it
     with open(path, "wb") as fh:
-        fh.write(content)
+        fh.writelines(chunks)
 
 
 class Outcome:
@@ -192,14 +193,14 @@ def _cmd_pack_build(args, out: Outcome):
         "verified": report.ok,
         "shared_constituent_violations": 0,
     }
-    if args.out:
-        _write(args.out, pack.write_family(family))
+    if args.out:  # streamed: the top level's record is never gathered
+        _write(args.out, pack.family_chunks(family))
         out.say(f"written to {args.out}")
 
 
 def _cmd_pack_verify(args, out: Outcome):
-    family = pack.parse_family(_read(args.input), args.alpha)
-    report = pack.verify_packing(family)
+    with open(args.input, "rb") as fh:  # OSError: exit 3, as from _read
+        family, report = pack.verify_family_file(fh, args.alpha)
     out.say(f"{family.m} blocks of size {report.block_size} on n={family.n}")
     out.say(f"verification: {report.summary()}")
     if not report.distinct:
@@ -237,7 +238,7 @@ def _cmd_pack_no3(args, out: Outcome):
         "verified": True,
     }
     if args.out:
-        _write(args.out, setcore.write_collection(col))
+        _write(args.out, [setcore.write_collection(col)])
         out.say(f"written to {args.out}")
 
 
@@ -302,7 +303,7 @@ def _cmd_cube_build(args, out: Outcome):
         "saved": saved,
     }
     if args.out:
-        _write(args.out, qcube.write_cube_edges(m))
+        _write(args.out, [qcube.write_cube_edges(m)])
         out.say(f"written to {args.out}")
 
 

@@ -13,15 +13,22 @@ block (l, m) takes sub-block l from part 1, m from part 2 and
 (l + (j-1) m) mod q from part j >= 3.  Distinct index pairs agree in at
 most one coordinate, so two blocks share at most one full sub-block and
 all other parts contribute strictly less than half the allowance each.
-A product level is certified by that proof and a check of its q sub-blocks.
-So is a family file in the construction's own block order: one gather, by
-the construction's table, of the q sub-blocks in part 1 of its (l, 0)
-blocks must reproduce every block.  Another product file is certified by
-its blocks' structure, and any other family is checked pair by pair.
-A family is a Collection of its blocks, held as their incidence record,
-with the alpha it claims.  A product level's record is one gather from
-the sub-family's point matrix, so no block is ever a Python int; the
-level's LevelTrace keeps the construction's choices and derives the rest.
+A product level is certified by that proof and a check of its q sub-blocks,
+and held as them (ProductFamily): its file is rendered from them in row
+blocks, and its record gathered only if a caller reads it.  A family file
+is certified by the same proof, and not parsed, when it is that rendering
+byte for byte: a file of q*q blocks holds the sub-blocks in part 1 (parts
+counted from 0) of its first q blocks (0, m), and every byte of the file
+must equal their product's rendering (verify_family_file).  Any other
+file is parsed whole.  One in the
+construction's block order is certified by one gather, by the
+construction's table, of the q sub-blocks in part 0 of its (l, 0) blocks;
+another product file by its blocks' structure; any other family is
+checked pair by pair.  A family is a Collection of its blocks, held as
+their incidence record, with the alpha it claims.  A product level's
+record is one gather of its sub-blocks, so no block is ever a Python int;
+the level's LevelTrace keeps the construction's choices and derives the
+rest.
 
 This module also derives the "no three invertible" collections: gluing a
 common core K onto blocks with small pairwise intersections produces
@@ -35,14 +42,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, isqrt
 import re
+from typing import Iterator
 
 import numpy as np
 
-from .setcore import Collection, FormatError, Incidence, Subset, ascii_bytes, parse_collection, write_collection
+from . import setcore
+from .setcore import Collection, FormatError, Incidence, Subset, ascii_bytes, write_collection
 
 DEFAULT_GREEDY_BUDGET = 200_000
 ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of _max_pair's counts
 _BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # where str.splitlines ends a line of ASCII text
+_READ_BLOCK = 1 << 20  # bytes verify_family_file counts the lines of at once
 
 
 class PackingFamily(Collection):
@@ -76,6 +86,36 @@ class PackingFamily(Collection):
     @property
     def achieved_c(self) -> Fraction:
         return Fraction(self.block_size, self.n) if self.n else Fraction(0)
+
+
+class ProductFamily(PackingFamily):
+    """A product level, given by its q sub-blocks ``subs``, rows of points
+    of [0, part): block l*q + m takes, in part j, the sub-block of column j
+    of constituent_table(q, coefficients), shifted by j*part.  Its count,
+    size and file (family_chunks) come from these alone; its record is
+    that gather, made when a caller first reads ``incidence``."""
+
+    def __init__(self, subs: np.ndarray, coefficients: tuple[int, ...], part: int, declared_alpha: Fraction):
+        self.__dict__.update(n=(len(coefficients) + 2) * part, subs=subs, coefficients=coefficients,
+                             part=part, declared_alpha=declared_alpha)
+
+    @property
+    def incidence(self) -> Incidence:
+        if "record" not in self.__dict__:
+            points = _product_rows(self.subs, self.coefficients, self.part, 0, self.m)
+            self.__dict__["record"] = Incidence(self.n, np.arange(self.m + 1) * self.block_size, points.reshape(-1))
+        return self.__dict__["record"]
+
+    @property
+    def m(self) -> int:
+        return len(self.subs) ** 2
+
+    @property
+    def block_size(self) -> int:
+        return self.subs.shape[1] * (len(self.coefficients) + 2)
+
+    def _key(self) -> tuple:
+        return (PackingFamily,) + super()._key()[1:]  # equal to the PackingFamily of its blocks
 
 
 @dataclass(frozen=True)
@@ -229,15 +269,15 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
         return None
     sub_points = np.unique(points.reshape(-1, s)[at] - starts[at % parts, None], axis=0)  # their union
     bound = _product_bound(sub_points, p, parts)
-    return _witness_report(f, bound) if bound < alpha * size else None
+    return _witness_report(f, bound, points[:2]) if bound < alpha * size else None
 
 
 def _construction_report(f: PackingFamily, points: np.ndarray) -> PackingReport | None:
     """The report of q*q blocks in the construction's own order, or None.
     Its sub-blocks S are part 0 of the (l, 0) blocks, rows l*q: block
-    l*q + m must be S[constituent_table(q, coefficients)] shifted into the
-    parts, compared in row blocks of ROW_BLOCK_CELLS cells, and S must
-    pass the product proof the build checks (_proof_fault)."""
+    l*q + m must be block l*q + m of their product (_product_rows),
+    compared in row blocks of ROW_BLOCK_CELLS cells, and S must pass the
+    product proof the build checks (_proof_fault)."""
     count, size = points.shape
     parts, q = 2 * f.declared_alpha.denominator, isqrt(count)
     if q * q != count:
@@ -246,15 +286,22 @@ def _construction_report(f: PackingFamily, points: np.ndarray) -> PackingReport 
     bound, fault = _proof_fault(f, subs, q, coeffs)
     if fault:
         return None
-    starts = np.arange(parts)[:, None] * (f.n // parts)
     step = max(1, ROW_BLOCK_CELLS // size)
     for start in range(0, count, step):
         stop = min(count, start + step)
-        gathered = subs[constituent_table(q, coeffs, start, stop)]  # [block][part][point]
-        gathered += starts
-        if not np.array_equal(gathered.reshape(stop - start, size), points[start:stop]):
+        if not np.array_equal(_product_rows(subs, coeffs, f.n // parts, start, stop), points[start:stop]):
             return None
-    return _witness_report(f, bound)
+    return _witness_report(f, bound, points[:2])
+
+
+def _product_rows(subs: np.ndarray, coeffs, p: int, start: int, stop: int) -> np.ndarray:
+    """Blocks start .. stop - 1 of the product of the q sub-blocks subs,
+    rows of points of [0, p), by constituent_table(q, coeffs): one gather
+    of the sub-blocks each block takes, part j's shifted by j*p, as the
+    rows of a (stop - start, size) array."""
+    gathered = subs[constituent_table(len(subs), coeffs, start, stop)]  # [block][part][point]
+    gathered += np.arange(len(coeffs) + 2)[:, None] * p
+    return gathered.reshape(stop - start, -1)
 
 
 def _product_bound(subs: np.ndarray, p: int, parts: int) -> int:
@@ -262,13 +309,13 @@ def _product_bound(subs: np.ndarray, p: int, parts: int) -> int:
     return subs.shape[1] + (parts - 1) * _max_pair(subs, p)[0]
 
 
-def _witness_report(f: PackingFamily, bound: int) -> PackingReport | None:
+def _witness_report(f: PackingFamily, bound: int, pair: np.ndarray) -> PackingReport | None:
     """The exact report of distinct blocks meeting in at most bound < alpha *
-    block_size points, if blocks 0 and 1, the first pair, reach it."""
-    size = f.block_size
-    first, second = f.incidence.elements[: 2 * size].reshape(2, size)
-    if np.intersect1d(first, second, assume_unique=True).size != bound:
+    block_size points, if blocks 0 and 1, the first pair, whose points are
+    the two rows of pair, reach it."""
+    if np.intersect1d(pair[0], pair[1], assume_unique=True).size != bound:
         return None
+    size = f.block_size
     return PackingReport(True, comb(f.m, 2), bound, f.declared_alpha * size, size, True, (0, 1))
 
 
@@ -341,17 +388,18 @@ def _proof_fault(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> tup
 def _certified_report(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> PackingReport:
     """The report verify_packing gives a product level, from its proof
     (_proof_fault), subs the q sub-blocks it takes.  Blocks 0 and 1
-    (coordinates all 0, and 0, 1, ..., parts-1) are the witness:
-    _witness_report gives the report, or else verify_packing."""
+    (coordinates all 0, and 0, 1, ..., parts-1), gathered from subs, are
+    the witness: _witness_report gives the report, or else verify_packing."""
     bound, fault = _proof_fault(family, subs, q, coeffs)
     if fault:
         raise RuntimeError(f"constructed family fails its certificate: {fault}")
-    return _witness_report(family, bound) or verify_packing(family)
+    pair = _product_rows(subs, coeffs, family.n // (len(coeffs) + 2), 0, 2)
+    return _witness_report(family, bound, pair) or verify_packing(family)
 
 
 def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
-    """One level: the base's singletons, or each product block as one gather
-    of sub-blocks from the sub-family's point matrix, shifted into parts."""
+    """One level: the base's singletons, or the ProductFamily of the first
+    q sub-blocks of the sub-family in lexicographic order."""
     alpha = Fraction(1, k)
     q, coeffs, sub_trace = None, (), None
     if n * alpha <= 4:  # base: n singleton blocks
@@ -369,10 +417,7 @@ def _construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
             kind, family = "fallback", PackingFamily(p, sub_family.incidence, alpha)
         else:
             q, coeffs = prime, _coefficients(parts)
-            points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
-            points += (np.arange(parts) * p)[:, None]
-            record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))
-            kind, family = "constructed", PackingFamily(parts * p, record, alpha)
+            kind, family = "constructed", ProductFamily(ordered[:q], coeffs, p, alpha)
     report = verify_packing(family) if q is None else _certified_report(family, ordered[:q], q, coeffs)
     if not report.ok:
         raise RuntimeError(f"{kind} family fails its own check: {report.summary()}")
@@ -494,17 +539,85 @@ def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
     return Collection(n, Incidence(n, np.arange(rs.m + 1) * (n // 2), sets.reshape(-1)))
 
 
+def family_chunks(f: PackingFamily) -> Iterator[bytes]:
+    """The family file in chunks: the collection file with a '# packing'
+    header.  A ProductFamily's is rendered from its sub-blocks in row
+    blocks of about setcore._WRITE_BLOCK points (_product_rows), never from
+    a record; any other family's is written from its record."""
+    alpha, c = f.declared_alpha, f.achieved_c
+    header = [f"packing n={f.n} alpha={alpha.numerator}/{alpha.denominator} c={c.numerator}/{c.denominator}"]
+    if not isinstance(f, ProductFamily):
+        yield write_collection(f, header)
+        return
+    yield setcore.file_head(f.n, header)
+    size, count = f.block_size, f.m
+    step = max(1, setcore._WRITE_BLOCK // size)
+    ends = np.arange(size - 1, step * size, size)  # each block's last point
+    for a in range(0, count, step):
+        rows = _product_rows(f.subs, f.coefficients, f.part, a, min(a + step, count))
+        yield from setcore.write_lines(rows.reshape(-1), ends[: len(rows)])
+
+
 def write_family(f: PackingFamily) -> bytes:
-    """The family file as bytes: the collection file with a '# packing' header."""
-    header = (
-        f"packing n={f.n} alpha={f.declared_alpha.numerator}/{f.declared_alpha.denominator} "
-        f"c={f.achieved_c.numerator}/{f.achieved_c.denominator}"
-    )
-    return write_collection(f, [header])
+    """The family file as bytes (family_chunks)."""
+    return b"".join(family_chunks(f))
 
 
 def serialize_family(f: PackingFamily) -> str:
     return write_family(f).decode("ascii")
+
+
+def verify_family_file(fh, alpha=None) -> tuple[PackingFamily, PackingReport]:
+    """parse_family of the binary file fh, read from its start, and its
+    verify_packing report.  A file that is, byte for byte, the file of the
+    product its first lines name (_rendered_report) is not parsed.  Any
+    other file, and any exception on that path, is parsed whole, so its
+    report, or the error it raises, is parse_family's and verify_packing's."""
+    try:
+        found = _rendered_report(fh, alpha)
+    except Exception:  # the whole parse below says what is wrong, if anything is
+        found = None
+    if found is None:
+        fh.seek(0)
+        family = parse_family(fh.read(), alpha)
+        found = family, verify_packing(family)
+    return found
+
+
+def _rendered_report(fh, alpha) -> tuple[ProductFamily, PackingReport] | None:
+    """The product the file fh holds and its report, or None.  Refused
+    before any gather: a file of other than q*q lines after its header and
+    ground-set lines, q a prime above the part count.  The q sub-blocks S
+    are part 1 of blocks (0, m), the first q lines, under the header's
+    alpha or the given one: each increasing in [0, p), they must pass the
+    build's proof (_proof_fault) and blocks 0 and 1 reach U.  The numbers
+    are read by int() and the header by a search, unchecked: the check is
+    that every byte of the file is the product's file (family_chunks),
+    compared as it is rendered, which parse_family reads as that product."""
+    lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(_READ_BLOCK), b""))
+    q = isqrt(max(lines - 2, 0))
+    if q * q + 2 != lines or q < 3 or not _is_prime(q):  # 2 parts at least
+        return None
+    fh.seek(0)
+    header, n = fh.readline(), int(fh.readline())
+    alpha = Fraction(alpha if alpha is not None else re.search(rb" alpha=(\S+)", header)[1].decode())
+    blocks = np.array([fh.readline().split() for _ in range(q)], np.int64)  # blocks (0, m)
+    parts, size = 2 * alpha.denominator, blocks.shape[1]
+    if alpha.numerator != 1 or q <= parts or size % parts or n % parts:
+        return None
+    s, p, coeffs = size // parts, n // parts, _coefficients(parts)
+    subs = blocks[:, s : 2 * s] - p
+    if subs[:, 0].min() < 0 or subs[:, -1].max() >= p or (subs[:, 1:] <= subs[:, :-1]).any():
+        return None
+    family = ProductFamily(subs, coeffs, p, alpha)
+    bound, fault = _proof_fault(family, subs, q, coeffs)
+    report = None if fault else _witness_report(family, bound, blocks[:2])
+    if report is None:
+        return None
+    fh.seek(0)
+    if any(fh.read(len(chunk)) != chunk for chunk in family_chunks(family)) or fh.read(1):
+        return None
+    return family, report
 
 
 def parse_family(text: str | bytes, alpha=None) -> PackingFamily:
@@ -527,5 +640,5 @@ def parse_family(text: str | bytes, alpha=None) -> PackingFamily:
                             raise FormatError(f"nonpositive {token} in the family header")
     if declared is None:
         raise ValueError("no alpha given and none found in the file header")
-    col = parse_collection(raw)
+    col = setcore.parse_collection(raw)
     return PackingFamily(col.n, col.incidence, declared)

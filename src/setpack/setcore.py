@@ -439,20 +439,29 @@ def write_collection(c: Collection, header_comments: Iterable[str] = ()) -> byte
 
     Empty member sets cannot be represented (the format has no line for
     them), nor can comments beyond tab and printable ASCII be read back,
-    so both are rejected.  The record is written _WRITE_BLOCK elements at
-    a time: one ``_digit_table`` gather per base-10^4 group of digits, a
-    '\n' after each set's last element, and the NUL bytes dropped.
-    """
+    so both are rejected.  The record goes through ``write_lines``."""
+    head, inc = file_head(c.n, header_comments), c.incidence
+    sizes = np.diff(inc.indptr)
+    if (sizes == 0).any():
+        raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
+    return head + b"".join(write_lines(inc.elements, inc.indptr[1:] - 1))  # each set's last element
+
+
+def file_head(n: int, header_comments: Iterable[str] = ()) -> bytes:
+    """The comment lines and the ground-set size n that open a collection file."""
     out = [ln if ln.startswith("#") else f"# {ln}" for h in header_comments for ln in h.splitlines() or [h]]
     for ln in out:
         if re.search(r"[^\t -\x7f]", ln):
             raise ValueError(f"comment {ln!r} holds a character that collection files refuse")
-    out = [("\n".join(out + [str(c.n)]) + "\n").encode("ascii")]
-    inc = c.incidence
-    sizes = np.diff(inc.indptr)
-    if (sizes == 0).any():
-        raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
-    last, e = inc.indptr[1:] - 1, inc.elements  # each set's last element, followed by '\n'
+    return ("\n".join(out + [str(n)]) + "\n").encode("ascii")
+
+
+def write_lines(e: np.ndarray, last: np.ndarray) -> Iterator[bytes]:
+    """The set lines of a collection file holding the elements e, in
+    chunks, ``last`` the increasing indices of the elements that end a
+    set.  They are written _WRITE_BLOCK elements at a time: one
+    ``_digit_table`` gather per base-10^4 group of digits, a '\n' after
+    each set's last element, and the NUL bytes dropped."""
     for a in range(0, e.size, _WRITE_BLOCK):
         q = e[a : a + _WRITE_BLOCK, None]
         if q.max() < 10**4:
@@ -465,8 +474,7 @@ def write_collection(c: Collection, header_comments: Iterable[str] = ()) -> byte
             rows[:, :-1] *= (q[:, :-1] > 0)[..., None]  # no group above the first digit
         lo, hi = np.searchsorted(last, [a, a + q.shape[0]])
         rows[last[lo:hi] - a, -1, 4] = 10
-        out.append(rows.tobytes().translate(None, b"\0"))
-    return b"".join(out)
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:

@@ -28,7 +28,9 @@ parser naive_parse_permutation, the per-bit naive_conflict_graph and
 naive_elements, Subset.elements() through iter_bits; SubsetIncidence,
 the incidence record as it was built from the Subsets' ints, and
 subset_construct_packing_traced, the product construction that summed
-each block's shifted Subset ints; and brute_force_invertible, the pruned
+each block's shifted Subset ints, and eager_construct_packing_traced,
+its successor, which gathered every product level's record whole,
+before a product level was held as its sub-blocks; and brute_force_invertible, the pruned
 lexicographic search that was the library's own testing oracle; and
 naive_no_three_checks, no_three_invertible_family's former per-triple
 and per-pair re-check, run on every triple and pair instead of a sample.
@@ -58,7 +60,7 @@ from setpack import (
 from setpack import decide_invertible, pack, qcube
 from setpack.invert import check_triple
 from setpack.pack import LevelTrace, PackingReport, constituent_table
-from setpack.setcore import FormatError
+from setpack.setcore import FormatError, Incidence
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -762,6 +764,41 @@ def _subset_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     if not report.ok:
         raise RuntimeError(f"constructed family fails its own check: {report.summary()}")
     return family, LevelTrace(n, used_n, alpha, q, coeffs, len(blocks), report, sub_trace)
+
+
+def eager_construct_packing_traced(n: int, alpha) -> tuple[PackingFamily, LevelTrace]:
+    """setpack.construct_packing_traced as it was before a product level
+    was held as its sub-blocks: every level's record made whole, a product
+    level's by one gather from the sub-family's point matrix."""
+    return _eager_construct(n, Fraction(alpha).denominator)
+
+
+def _eager_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
+    alpha = Fraction(1, k)
+    q, coeffs, sub_trace = None, (), None
+    if n * alpha <= 4:  # base: n singleton blocks
+        kind, family = "singleton base", PackingFamily(n, Incidence(n, np.arange(n + 1), np.arange(n)), alpha)
+    else:
+        parts = 2 * k
+        sub_family, sub_trace = _eager_construct(n // parts, 2 * k)
+        p = sub_family.n
+        sub = sub_family.incidence.elements.reshape(sub_family.m, -1)
+        ordered = sub[np.lexsort(sub.T[::-1])]  # the sub-blocks in lexicographic order
+        prime = pack._largest_prime_at_most(len(ordered))
+        if prime is None or prime <= parts:
+            # no usable prime: stop the recursion here and hand back the
+            # sub-family, which satisfies the stricter alpha/2 and hence alpha
+            kind, family = "fallback", PackingFamily(p, sub_family.incidence, alpha)
+        else:
+            q, coeffs = prime, pack._coefficients(parts)
+            points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
+            points += (np.arange(parts) * p)[:, None]
+            record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))
+            kind, family = "constructed", PackingFamily(parts * p, record, alpha)
+    report = pack.verify_packing(family) if q is None else pack._certified_report(family, ordered[:q], q, coeffs)
+    if not report.ok:
+        raise RuntimeError(f"{kind} family fails its own check: {report.summary()}")
+    return family, LevelTrace(n, family.n, alpha, q, coeffs, family.m, report, sub_trace)
 
 
 def naive_parse_permutation(text: str) -> Permutation:

@@ -244,13 +244,14 @@ def counted_records(monkeypatch) -> list:
 
 
 def test_pack_build_out_builds_one_incidence_per_family(monkeypatch, tmp_path, capsys):
-    # each level's family is its record: it serves the level's check, if
-    # any, and the writer
+    # each level's family is its record, which serves the level's check,
+    # if any, and the writer; a certified product level needs none
     built = counted_records(monkeypatch)
     out = tmp_path / "fam.txt"
-    # (28, 1/2): 7 checked singletons under 49 certified product blocks;
-    # (10, 1/2): 2 checked singletons, whose record the fallback family shares
-    for n, records in ((28, [7, 49]), (10, [2])):
+    # (28, 1/2): 7 checked singletons under 49 certified product blocks,
+    # rendered from their 7 sub-blocks; (10, 1/2): 2 checked singletons,
+    # whose record the fallback family shares
+    for n, records in ((28, [7]), (10, [2])):
         built.clear()
         assert main(["pack", "build", "--n", str(n), "--alpha", "1/2", "--out", str(out)]) == 0
         assert built == records, n
@@ -283,8 +284,9 @@ def test_pack_verify_malformed_header_alpha_exits_3(tmp_path, capsys):
 
 
 def test_pack_verify_reads_the_structure_off_the_file(monkeypatch, tmp_path, capsys):
-    # (400, 1/2): the pairwise check runs on the 113 sub-blocks alone, and
-    # the file's one incidence record serves the whole certificate
+    # (400, 1/2): the pairwise check runs on the 113 sub-blocks alone, read
+    # from the file's first 113 lines, and no incidence record is built:
+    # the file is compared with their product's
     out = tmp_path / "fam.txt"
     assert main(["pack", "build", "--n", "400", "--alpha", "1/2", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -292,7 +294,7 @@ def test_pack_verify_reads_the_structure_off_the_file(monkeypatch, tmp_path, cap
     monkeypatch.setattr(pack, "_max_pair", lambda points, n: checked.append(len(points)) or real(points, n))
     built = counted_records(monkeypatch)
     code, text = run(capsys, "pack", "verify", "--input", str(out))
-    assert code == 0 and (checked, built) == ([113], [12769])
+    assert code == 0 and (checked, built) == ([113], [])
     assert "pass: 81517296 pairs checked, max intersection 11 (blocks 0,1), threshold < 16" in text
 
 

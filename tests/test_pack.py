@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from setpack import (
     packing_graph_stats,
     verify_packing,
 )
-from setpack import pack
+from setpack import pack, setcore
 from setpack.pack import (
     LevelTrace,
     PackingReport,
@@ -31,10 +31,12 @@ from setpack.pack import (
     serialize_family,
     shared_constituent_violations,
 )
+from setpack.cli import main
 from setpack.setcore import Incidence, Subset
 
 from oracles import (
     SubsetIncidence,
+    eager_construct_packing_traced,
     naive_no_three_checks,
     naive_parse_collection,
     naive_shared_constituent_violations,
@@ -206,7 +208,7 @@ def test_construction_and_its_files_match_the_subset_oracles():
         assert fam == oracle and trace == oracle_trace, (n, alpha)
         assert same_record(fam.incidence, SubsetIncidence(oracle.n, oracle.blocks))
         text = serialize_family(fam)
-        parsed, naive = pack.parse_collection(text), naive_parse_collection(text)
+        parsed, naive = setcore.parse_collection(text), naive_parse_collection(text)
         assert parsed.sets == naive.sets == oracle.blocks, (n, alpha)
         assert same_record(parsed.incidence, fam.incidence)
 
@@ -295,6 +297,151 @@ def test_product_files_are_certified_in_construction_order(product_files, monkey
     monkeypatch.setattr(pack, "_shared_pairs", lambda table: pytest.fail("left the construction order"))
     for n, alpha, fam, oracle in product_files:
         assert verify_packing(fam) == oracle, (n, alpha)
+
+
+def file_copies(text: bytes, fam):
+    """(what, file, --alpha or None): the family file as written, with its
+    header's alpha given again, then copies one edit or one other alpha
+    away from it.  Lines are 1-based from the first block; line q + 1
+    holds block (1, 0), the first whose part 0 is not sub-block 0."""
+    lines = text.splitlines(keepends=True)  # the header, n, then the blocks
+    q, last = isqrt(fam.m), len(lines) - 1
+
+    def changed(i):  # the last digit of line i, a block's, changed
+        line = lines[i].rstrip(b"\n")
+        line = line[:-1] + bytes([48 + (line[-1] - 47) % 10]) + b"\n"
+        return b"".join(lines[:i] + [line] + lines[i + 1:])
+
+    middle = 2 + fam.m // 2
+    alpha = fam.declared_alpha
+    yield "as written", text, None
+    yield "its own alpha", text, alpha
+    yield "CRLF", text.replace(b"\n", b"\r\n"), None
+    yield "a comment", b"".join(lines[:1] + [b"# one more comment\n"] + lines[1:]), None
+    yield "a leading zero", b"".join(lines[:middle] + [b"0" + lines[middle]] + lines[middle + 1:]), None
+    yield "a digit in line q + 1", changed(min(q + 2, last)), None
+    yield "a digit in the last line", changed(last), None
+    yield "the last line dropped", b"".join(lines[:-1]), None
+    yield "a trailing blank line", text + b"\n", None
+    yield "trailing blanks", text + b" \t", None
+    yield "another alpha", text, Fraction(1, 2 * alpha.denominator) if alpha.numerator == 1 else Fraction(1, 2)
+
+
+def verify_runs(capsys, path, alpha) -> list:
+    """Exit code, stdout and stderr of pack verify on path, plain and --json."""
+    given = [] if alpha is None else ["--alpha", f"{alpha.numerator}/{alpha.denominator}"]
+    runs = []
+    for flag in ([], ["--json"]):
+        code = main([*flag, "pack", "verify", "--input", str(path), *given])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def test_verify_renders_written_files_and_parses_every_other(product_files, monkeypatch, tmp_path, capsys):
+    # pack verify against its reference, parse_family + verify_packing on
+    # the whole file (the fast path switched off), on every written file
+    # and each copy: a written product file, with or without its own alpha,
+    # is never parsed, its first q lines read for S alone, and every other
+    # is parsed whole
+    parsed, real = [], setcore.parse_collection
+    monkeypatch.setattr(setcore, "parse_collection", lambda text: parsed.append(bytes(text)) or real(text))
+    path, rendered = tmp_path / "fam.txt", 0
+    for n, alpha, fam, _ in product_files:
+        text = pack.write_family(fam)
+        product = construct_packing_traced(n, alpha)[1].q is not None
+        for what, data, given in file_copies(text, fam):
+            path.write_bytes(data)
+            parsed.clear()
+            got = verify_runs(capsys, path, given)
+            seen = parsed[:]
+            with monkeypatch.context() as m:
+                m.setattr(pack, "_rendered_report", lambda fh, alpha: None)
+                assert got == verify_runs(capsys, path, given), (n, alpha, what)
+            if product and what in ("as written", "its own alpha"):
+                assert not seen, (n, alpha, what)
+                rendered += 1
+            else:
+                assert data in seen, (n, alpha, what)
+    assert rendered == 2 * 17  # all but the base and fallback families
+
+
+def test_verify_falls_back_on_any_exception(monkeypatch, tmp_path, capsys):
+    # line counts across read blocks, and an exception on the fast path,
+    # which the whole parse answers
+    path, calls = tmp_path / "fam.txt", []
+    for n, alpha in ((28, "1/2"), (100, "1/4"), (400, "1/2")):
+        path.write_bytes(pack.write_family(construct_packing(n, Fraction(alpha))))
+        want = verify_runs(capsys, path, None)
+        with monkeypatch.context() as m:
+            m.setattr(pack, "verify_packing", lambda f: calls.append(f) or verify_packing(f))
+            m.setattr(pack, "_READ_BLOCK", 7)
+            calls.clear()
+            assert verify_runs(capsys, path, None) == want and not calls, (n, alpha)
+            m.setattr(pack, "family_chunks", lambda f: iter([1 / 0]))
+            assert verify_runs(capsys, path, None) == want and len(calls) == 2, (n, alpha)
+
+
+def test_verify_parses_other_renderings_whole(monkeypatch, tmp_path, capsys):
+    # files that are byte for byte the rendering of sub-blocks that are not
+    # increasing sets of [0, p), or that fail the proof, or whose blocks 0
+    # and 1 fall short of U, are parsed whole
+    parsed, real = [], setcore.parse_collection
+    monkeypatch.setattr(setcore, "parse_collection", lambda text: parsed.append(bytes(text)) or real(text))
+    rendered = [
+        # sub-blocks 0,1 disjoint but 0,2 meet: blocks 0 and 1 meet in 2 < U = 3
+        pack.ProductFamily(np.array([[0, 1], [2, 3], [0, 2]]), (), 4, Fraction(1)),
+        # a repeated sub-block: U = 4 reaches the threshold, and blocks repeat
+        pack.ProductFamily(np.array([[0, 1], [0, 1], [2, 3]]), (), 4, Fraction(1)),
+    ]
+    for n, alpha in ((56, "1"), (400, "1/2")):  # sub-blocks of 4 and 8 points
+        fam = construct_packing(n, Fraction(alpha))
+        repeated = fam.subs.copy()
+        repeated[:, 1] = repeated[:, 0]
+        top, low = fam.part - fam.subs.max(), -1 - fam.subs.min()  # moves to a point at p, or at -1
+        for subs in (fam.subs[:, ::-1], repeated, fam.subs + top, fam.subs + low):
+            rendered.append(pack.ProductFamily(subs, fam.coefficients, fam.part, fam.declared_alpha))
+    path, codes = tmp_path / "fam.txt", set()
+    for fam in rendered:
+        data = pack.write_family(fam)
+        path.write_bytes(data)
+        parsed.clear()
+        got = verify_runs(capsys, path, None)
+        assert data in parsed, fam.subs[:3]
+        with monkeypatch.context() as m:
+            m.setattr(pack, "_rendered_report", lambda fh, alpha: None)
+            assert got == verify_runs(capsys, path, None), fam.subs[:3]
+        codes.add(got[0][0])
+    # the reversed sets are the family, repeated points a bad file, and a
+    # repeated sub-block repeats blocks
+    assert codes >= {0, 1, 3}
+
+
+def test_build_renders_the_eager_family(monkeypatch, tmp_path, capsys):
+    # pack build --out writes the file of the family the construction used
+    # to gather whole (the oracle), and never reads its top product level's
+    # record, whose lazy gather is that family's
+    read, real = [], pack.ProductFamily.incidence
+    monkeypatch.setattr(pack.ProductFamily, "incidence", property(lambda f: read.append((f.n, f.m)) or real.fget(f)))
+    path = tmp_path / "fam.txt"
+    for n, alpha in sorted({*SWEEP, *((n, Fraction(a)) for n, a in PACK_GRID)}):
+        oracle, oracle_trace = eager_construct_packing_traced(n, alpha)
+        read.clear()
+        assert main(["pack", "build", "--n", str(n), "--alpha", str(alpha), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == pack.write_family(oracle), (n, alpha)
+        fam, trace = construct_packing_traced(n, alpha)
+        assert isinstance(fam, pack.ProductFamily) == (trace.q is not None)
+        if trace.q is not None:
+            assert (fam.n, fam.m) not in read, (n, alpha)
+            assert "record" not in vars(fam)
+        assert fam == oracle and trace == oracle_trace, (n, alpha)
+        assert same_record(fam.incidence, oracle.incidence)
+    # rendered in row blocks of any width, even below one block
+    for width in (1, 5, 97):
+        monkeypatch.setattr(setcore, "_WRITE_BLOCK", width)
+        for n, alpha in ((28, "1/2"), (100, "1/4")):
+            oracle, _ = eager_construct_packing_traced(n, Fraction(alpha))
+            assert pack.write_family(construct_packing(n, Fraction(alpha))) == pack.write_family(oracle), (width, n)
 
 
 def construction_order_edits(fam, q):
