@@ -91,9 +91,10 @@ def oversized_count(c: Collection) -> int:
 
 def kappa_lower_bound(p: SizeProfile) -> Fraction:
     """Average number of sets inverted by a uniform simple permutation:
-    sum_i m_i * lambda_simple(n, i) / sigma(n), exactly."""
-    num = sum(m * lambda_simple(p.n, i) for i, m in enumerate(p.counts, start=1))
-    return Fraction(num, sigma(p.n))
+    sum_i m_i * lambda_simple(n, i) / sigma(n), exactly, from one _lambda_row."""
+    top = max((i for i, m in enumerate(p.counts, start=1) if m), default=0)
+    row = _lambda_row(p.n, top, sigma(p.n))  # row[0] = sigma(n)
+    return Fraction(sum(m * lam for m, lam in zip(p.counts, row[1:])), row[0])
 
 
 def simple_permutations(n: int) -> Iterator[Permutation]:

@@ -25,12 +25,12 @@ which the assisted variant hands to the derandomized inverting search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .kappa import find_simple_permutation
-from .setcore import MAX_BITS, Collection, Incidence, Lines, Permutation, _scatter, bit_positions, bits_of, read_decimals, read_lines
+from .setcore import MAX_BITS, Collection, FormatError, Incidence, Lines, Permutation, _scatter, ascii_bytes, bit_positions, bits_of, read_decimals, read_lines
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
 # under 10 s and 1 GB: 8.1-8.6 s, 636 MB at n = 21; the n = 22 build alone takes 1,295 MB (2-core VM).
@@ -255,7 +255,7 @@ def inversion_assisted_blocking(
     return assisted, saved
 
 
-_EDGE_BLOCK = 1 << 18  # bytes of a cube edge file checked at once, up to a line end
+_EDGE_BLOCK = 1 << 17  # bytes of a cube edge file checked at once, up to a line end; 1 << 18 is no faster
 _EDGE_WRITE = 1 << 15  # edges written at once
 
 
@@ -312,17 +312,63 @@ def _edge_rows(lines: Lines) -> np.ndarray:
     return np.stack([v, d], axis=1)
 
 
-def parse_cube_edges(text: str | bytes) -> CubeEdgeSet:
+def decode_cube_edges(raw: bytes) -> CubeEdgeSet | None:
+    """The edge set of ``raw`` if it is in the writer's own lines, repeats
+    allowed: the header n, then per edge n binary digits, a space, the
+    direction below n in one or two decimal digits and '\n'.  Else None,
+    raising nothing, as past n = 32 (vectors past MAX_BITS) or when the n·2^n
+    edge flags outgrow both the file and 1 MiB.  Read by blocks of lines."""
+    head = raw[:3].partition(b"\n")[0]
+    n = int(head) if head.isdigit() else 0
+    if not (0 < n and 1 << n <= MAX_BITS and n << n <= max(len(raw), 1 << 20) and raw.startswith(b"%d\n" % n) and raw.endswith(b"\n")):
+        return None
+    flags, at = np.zeros(n << n, bool), len(head) + 1  # flags[d << n | v]: the edge (v, d)
+    while at < len(raw):
+        end = raw.find(b"\n", at + _EDGE_BLOCK) + 1 or len(raw)
+        data = np.frombuffer(raw, np.uint8, end - at, at)
+        ends = np.flatnonzero(data == 10)
+        starts = np.append(0, ends[:-1] + 1)
+        two = ends - starts - (n + 2)  # 1 where the direction has two digits
+        if (two.astype(np.uint64) > 1).any():
+            return None
+        first, last = data[starts + n + 1] - np.uint8(48), data[ends - 1] - np.uint8(48)
+        d = last + 10 * two * first
+
+        # bit i of the words is the low bit of byte i: a vertex is n bits from its line's start
+        words = np.packbits(np.append(data & 1, np.zeros(128 - data.size % 64, np.uint8))).view(">u8").astype(np.uint64)
+        shift, i = (starts & 63).astype(np.uint64), starts >> 6
+        v = ((words[i] << shift | words[i + 1] >> (64 - shift)) >> np.uint64(64 - n)).astype(np.int64)
+
+        # every vertex byte is a binary digit iff the block holds n per line plus the directions' own
+        binary = n * ends.size + np.count_nonzero(first <= 1) + np.count_nonzero((last <= 1) & (two == 1))
+        if (np.count_nonzero((data | 1) == 49) != binary or (data[starts + n] != 32).any() or max(first.max(), last.max()) > 9
+                or ((d >= n) | (v >> d & 1 == 1)).any()):
+            return None
+        flags[d << n | v] = True
+        at = end
+    rows = np.packbits(flags.reshape(n, -1), axis=1, bitorder="little")
+    return CubeEdgeSet(n, tuple(int.from_bytes(row, "little") for row in rows))
+
+
+def parse_cube_edges(text: str | bytes, n: int | None = None) -> CubeEdgeSet:
     """File format: first line n, then one edge per line as
-    '<vertex-as-binary-string> <direction>'."""
-    return CubeEdgeSet.of(*parse_cube_edge_list(text))
+    '<vertex-as-binary-string> <direction>'.  A file in the writer's own
+    lines is decoded, any other read by tokens; with n, a file for another
+    Q_n is refused, and by tokens before its bit vectors are built."""
+    raw = ascii_bytes(text, "cube edge")
+    m = decode_cube_edges(raw)
+    found, edges = (m.n, None) if m is not None else parse_cube_edge_list(raw)
+    if n is not None and found != n:
+        raise FormatError(f"file is for Q_{found}, not Q_{n}")
+    return CubeEdgeSet.of(found, edges) if m is None else m
 
 
-def write_cube_edges(m: CubeEdgeSet) -> bytes:
-    """The file of m as bytes: the header n, then one line '<vertex as n
+def cube_edge_chunks(m: CubeEdgeSet) -> Iterator[bytes]:
+    """The file of m in chunks: the header n, then one line '<vertex as n
     binary digits> <direction>' per edge in (vertex, direction) order, from
-    one sort, _EDGE_WRITE edges at a time, the NUL bytes dropped."""
-    n, out = m.n, [b"%d\n" % m.n]
+    one sort, _EDGE_WRITE edges per chunk, the NUL bytes dropped."""
+    n = m.n
+    yield b"%d\n" % n
     key = np.sort(np.concatenate([np.zeros(0, np.int64), *(n * bit_positions(bits) + d for d, bits in enumerate(m.dirs))]))
     digits, width, size = len(str(n - 1)), min(n, 64), -(-min(n, 64) // 8)
     ends = b"".join((b" %d\n" % d).rjust(digits + 2, b"\0") for d in range(n))  # ' ' d '\n', NULs in front
@@ -333,8 +379,12 @@ def write_cube_edges(m: CubeEdgeSet) -> bytes:
         big_endian = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :]
         rows[:, n - width : n] |= np.unpackbits(big_endian, axis=1)[:, 8 * size - width :]
         rows[:, n:] = np.take(ends, d, axis=0)
-        out.append(rows.tobytes().translate(None, b"\0"))
-    return b"".join(out)
+        yield rows.tobytes().translate(None, b"\0")
+
+
+def write_cube_edges(m: CubeEdgeSet) -> bytes:
+    """The file of m as bytes: the join of its chunks."""
+    return b"".join(cube_edge_chunks(m))
 
 
 def serialize_cube_edges(m: CubeEdgeSet) -> str:

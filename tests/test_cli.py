@@ -512,6 +512,52 @@ def test_cube_verify_malformed_dimensions(tmp_path, capsys, monkeypatch):
         assert message in capsys.readouterr().err
 
 
+def test_cube_verify_decodes_written_files_as_tokens_read_them(tmp_path, capsys, monkeypatch):
+    # the written file and its copies in other line shapes give what the
+    # token path gives, byte for byte; only the written file is decoded
+    path, written = tmp_path / "m.txt", tmp_path / "written.txt"
+    assert main(["cube", "build", "--n", "11", "--assist", "--out", str(written)]) == 0
+    capsys.readouterr()
+    raw = written.read_bytes()
+    head, body = raw.split(b"\n", 1)
+    copies = {
+        "written": raw,
+        "CRLF": raw.replace(b"\n", b"\r\n"),
+        "comment line": head + b"\n# Q_11\n" + body,
+        "tab": raw.replace(b" ", b"\t", 1),
+        "leading-zero direction": raw.replace(b" 10\n", b" 010\n", 1),
+        "no final newline": raw[:-1],
+        "header for another n": b"12\n" + body,
+        "an edge short": raw[: raw.rindex(b"\n", 0, -1) + 1],  # no longer blocking
+    }
+    assert len(set(copies.values())) == len(copies)
+    token_path = lambda raw: None
+
+    def verify(n, decode):
+        monkeypatch.setattr(qcube, "decode_cube_edges", decode)
+        runs = []
+        for flags in ([], ["--json"]):
+            code = main([*flags, "cube", "verify", "--n", str(n), "--edges", str(path)])
+            runs.append((code, *capsys.readouterr()))
+        return runs
+
+    decode, codes = qcube.decode_cube_edges, set()
+    for what, data in copies.items():
+        path.write_bytes(data)
+        for n in (11, 12):
+            runs = verify(n, decode)
+            assert runs == verify(n, token_path), (what, n)
+            codes.add(runs[0][0])
+    assert codes == {0, 1, 3}
+
+    def refuse(*args):
+        raise AssertionError("a written file reached the token reader")
+
+    monkeypatch.setattr(qcube, "read_lines", refuse)
+    path.write_bytes(raw)
+    assert verify(11, decode)[0] == (0, "5039 edges: square-blocking\n", "")
+
+
 def test_deterministic_output(tmp_path, capsys):
     f = tmp_path / "c.txt"
     f.write_text("6\n0 1 2\n3 4\n5\n")

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from setpack import qcube
+from setpack.cli import main
 from setpack.qcube import (
     CubeEdgeSet,
     _min_vertex_cover,
+    decode_cube_edges,
     inversion_assisted_blocking,
     parse_cube_edge_list,
     parse_cube_edges,
@@ -81,6 +83,63 @@ def test_files_match_the_oracle_writer_and_parser(built):
         assert text == naive_serialize_cube_edges(m), m.n
         assert parsed(parse_cube_edge_list, text) == parsed(naive_parse_cube_edge_list, text)
         assert parse_cube_edges(text) == m
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of text, or the message it refuses it with."""
+    try:
+        return parse(text)
+    except FormatError as e:
+        return str(e)
+
+
+def test_decoder_reads_the_written_files_as_the_tokens_do(built):
+    sets, _ = built
+    for m in sets:
+        raw = write_cube_edges(m)
+        assert decode_cube_edges(raw) == CubeEdgeSet.of(*parse_cube_edge_list(raw)) == m, m.n
+        with pytest.raises(FormatError, match=f"^file is for Q_{m.n}, not Q_{m.n + 1}$"):
+            parse_cube_edges(raw, m.n + 1)
+
+
+def test_decoder_holds_less_than_half_its_file(built):
+    m = built[0][-1]  # the assisted set of Q_16: 4.75 MB of lines, 1 MB of edge flags
+    raw = write_cube_edges(m)
+    tracemalloc.start()
+    try:
+        assert decode_cube_edges(raw) == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) // 2, (peak, len(raw))
+
+
+def test_decoder_declines_what_it_would_not_hold():
+    # vectors past MAX_BITS, and edge flags larger than both the file and
+    # 1 MiB, are left to the token path and its messages
+    assert decode_cube_edges(b"33\n" + b"0" * 33 + b" 0\n") is None
+    sparse = b"24\n" + b"0" * 23 + b"1 1\n"
+    assert decode_cube_edges(sparse) is None
+    assert parse_cube_edges(sparse) == CubeEdgeSet.of(24, [(1, 1)])
+    assert decode_cube_edges(b"4\n") == CubeEdgeSet(4, (0, 0, 0, 0))
+    assert decode_cube_edges(b"0\n") is None and parse_cube_edges(b"0\n") == CubeEdgeSet(0, ())
+    assert decode_cube_edges(b"-3\n") is None and decode_cube_edges(b"03\n") is None
+
+
+def test_every_byte_of_a_line_is_checked():
+    # one byte of a one-digit and of a two-digit direction's line changed, at
+    # n = 12, where a stray byte can still read as a direction below n
+    raw = write_cube_edges(inversion_assisted_blocking(12)[0])
+    tokens = lambda t: CubeEdgeSet.of(*parse_cube_edge_list(t))
+    refused = 0
+    for start in (raw.index(b" 9\n") - 12, raw.index(b" 11\n") - 12):
+        for at in range(start, raw.index(b"\n", start)):
+            for byte in b"019:/ \tx":
+                text = raw[:at] + bytes([byte]) + raw[at + 1 :]
+                expected = outcome(tokens, text)
+                assert outcome(parse_cube_edges, text) == expected, text[start : at + 4]
+                refused += isinstance(expected, str)
+    assert refused > 150, refused
 
 
 def test_residual_graphs_and_covers_match_the_oracle(built, monkeypatch):
@@ -228,10 +287,16 @@ def _corpus(rng):
 
 
 def test_mutated_files_parse_as_the_oracle_parses_them():
-    seen = {kind: set() for kind in MUTATIONS}
+    seen, decoded = {kind: set() for kind in MUTATIONS}, 0
     for kinds, text in _corpus(random.Random(3)):
         expected = parsed(naive_parse_cube_edge_list, text)
         assert parsed(parse_cube_edge_list, text) == expected, (kinds, text)
+        # the decoder, on the files it takes, and the parse that falls back to tokens
+        tokens = outcome(lambda t: CubeEdgeSet.of(*parse_cube_edge_list(t)), text)
+        assert outcome(parse_cube_edges, text) == tokens, (kinds, text)
+        m = decode_cube_edges(text.encode())
+        assert m is None or m == tokens, (kinds, text)
+        decoded += m is not None
         if len(kinds) == 1:
             seen[kinds[0]].add(isinstance(expected, tuple))
     # alone, these keep a file valid, and every other kind can break one
@@ -239,6 +304,7 @@ def test_mutated_files_parse_as_the_oracle_parses_them():
              "leading and trailing blanks", "blank or comment line"}
     assert all(seen[kind] == {True} for kind in valid), seen
     assert all(False in seen[kind] for kind in MUTATIONS.keys() - valid), seen
+    assert decoded > 50, decoded  # 66 of the 1,500 are in the line shape the writer makes
 
 
 @pytest.mark.parametrize(
@@ -299,6 +365,7 @@ def test_edges_span_parse_blocks(monkeypatch):
         monkeypatch.setattr(qcube, "_EDGE_BLOCK", size)
         n, rows = parse_cube_edge_list(text)
         assert n == whole[0] and np.array_equal(rows, whole[1])
+        assert decode_cube_edges(write_cube_edges(m)) == m
     assert parse_cube_edges(text) == m
 
 
@@ -327,6 +394,17 @@ def test_write_holds_less_than_three_copies_of_its_file(built):
         tracemalloc.stop()
     assert data.decode() == serialize_cube_edges(m)
     assert peak < 3 * len(data)
+
+
+def test_build_out_streams_the_chunks(built, tmp_path, monkeypatch):
+    # the file is written chunk by chunk, never joined, and is the writer's bytes
+    m, path = built[0][-1], tmp_path / "q16.txt"
+    chunks = list(qcube.cube_edge_chunks(m))
+    assert len(chunks) > 2 and b"".join(chunks) == write_cube_edges(m)
+    monkeypatch.setattr(qcube, "write_cube_edges", None)
+    monkeypatch.setattr(qcube, "inversion_assisted_blocking", lambda n, limit: (m, 1))
+    assert main(["cube", "build", "--n", "16", "--assist", "--out", str(path)]) == 0
+    assert path.read_bytes() == b"".join(chunks)
 
 
 def test_directions_of_any_width_are_written_whole():

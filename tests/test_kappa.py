@@ -102,6 +102,14 @@ def test_kappa_lower_bound_closed_form():
         assert kappa_lower_bound(p) == closed
 
 
+def test_kappa_lower_bound_matches_the_per_size_sum():
+    rng = random.Random(29)
+    for n in [0, 1, 2, 3, *(rng.randint(4, 400) for _ in range(80))]:
+        counts = tuple(rng.choice([0, 0, rng.randint(1, 10**6)]) for _ in range(n // 2))
+        expected = Fraction(sum(m * lambda_simple(n, i) for i, m in enumerate(counts, 1)), sigma(n))
+        assert kappa_lower_bound(SizeProfile(n, counts)) == expected, (n, counts)
+
+
 def test_full_profile_identity():
     # m_i = C(n, i) gives exactly 3^floor(n/2) - 1, for every n
     for n in range(2, 41):
