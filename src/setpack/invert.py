@@ -12,10 +12,12 @@ alternating-path walk ``alternating_reach``.
 That walk is the only breadth-first search here: each of its layers is
 one OR of bit-vector adjacency rows, so a dense row costs a few word
 operations, not one step per neighbour.  The matching is Hopcroft-Karp:
-each phase takes its layers from the walk, and the augmenting search
-keeps one untried right mask per layer, so a right vertex is tried at
-most once per phase.  Bit-vector rows suit the dense conflict graphs;
-the cube doubling's sparse residual graphs use index rows (``qcube``).
+its first phase is one greedy pass; each later phase takes its layers
+from the walk, and the augmenting search keeps one untried right mask per
+layer, so a right vertex is tried at most once per phase.  The rows are
+ints from the gather to the matcher; only ``conflict_graph`` wraps them
+as Subsets.  Bit-vector rows suit the dense conflict graphs; the cube
+doubling's sparse residual graphs use index rows (``qcube``).
 """
 from __future__ import annotations
 
@@ -65,13 +67,16 @@ class MatchingResult:
 
 
 def conflict_graph(c: Collection) -> ConflictGraph:
-    """adjacency[i] = V minus the union of all member sets containing i.
+    """adjacency[i] = V minus the union of all member sets containing i."""
+    return ConflictGraph(c.n, tuple(Subset(c.n, row) for row in _conflict_rows(c)))
 
-    A sparse product over the collection's incidence (Gustavson 1978): the
-    membership pairs, grouped by element, gather their sets' packed rows,
-    about ``GATHER_BYTES`` at a time, and one OR-reduction per element
-    gives the row it blocks.
-    """
+
+def _conflict_rows(c: Collection) -> list[int]:
+    """The rows of ``conflict_graph`` as ints, by a sparse product over the
+    collection's incidence (Gustavson 1978): the membership pairs, grouped
+    by element, gather their sets' packed rows, about ``GATHER_BYTES`` at a
+    time, and one OR-reduction per element gives the row it blocks, which
+    is complemented in place and read from the array's buffer."""
     inc = c.incidence
     # a stable radix sort when the elements fit 16 bits
     key = inc.elements.astype(np.uint16) if c.n <= 1 << 16 else inc.elements
@@ -88,28 +93,35 @@ def conflict_graph(c: Collection) -> ConflictGraph:
         part = words[sets[bounds[g] : bounds[h]]]
         blocked[g:h] = np.bitwise_or.reduceat(part, bounds[g:h] - bounds[g], axis=0)
         g = h
-    full = (1 << c.n) - 1
+    full, width = (1 << c.n) - 1, inc.rows.shape[1]
+    blocked ^= np.frombuffer(full.to_bytes(width, "little"), np.uint64)  # V minus each row
+    flat = memoryview(blocked.reshape(-1).view(np.uint8))
     rows = [full] * c.n
-    for x, row in zip(held.tolist(), blocked):
-        rows[x] = full & ~int.from_bytes(row.tobytes(), "little")
-    return ConflictGraph(c.n, tuple(Subset(c.n, row) for row in rows))
+    for i, x in enumerate(held.tolist()):
+        rows[x] = int.from_bytes(flat[i * width : (i + 1) * width], "little")
+    return rows
 
 
 def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int], list[int]]:
     """Maximum matching for bitmask adjacency rows; returns (match_l, match_r).
 
-    Each Hopcroft-Karp phase takes the right layers, up to the first free
-    right vertex, from ``alternating_reach``; an iterative depth-first
-    search then augments along vertex-disjoint shortest paths, a left
-    vertex at depth k taking and clearing the lowest bit of
-    ``adj[u] & untried[k]``.  Unmatched entries are -1.
+    Phase one is a greedy pass; each later Hopcroft-Karp phase takes the
+    right layers, up to the first free right vertex, from ``alternating_reach``;
+    an iterative depth-first search then augments along vertex-disjoint
+    shortest paths, a left vertex at depth k taking and clearing the lowest
+    bit of ``adj[u] & untried[k]``.  Unmatched entries are -1.
     """
-    n_left = len(adj)
-    match_l = [-1] * n_left
+    match_l = [-1] * len(adj)
     match_r = [-1] * n_right
     free_r = (1 << n_right) - 1
+    for u, row in enumerate(adj):  # phase one, from the empty matching: one greedy pass
+        options = row & free_r
+        if options:
+            j = (options & -options).bit_length() - 1
+            free_r ^= 1 << j
+            match_l[u], match_r[j] = j, u
     while True:
-        free_l = [u for u in range(n_left) if match_l[u] == -1]
+        free_l = [u for u, j in enumerate(match_l) if j == -1]
         _, untried = alternating_reach(adj, match_r, free_l, free_r)
         if not untried or not untried[-1] & free_r:
             return match_l, match_r
@@ -180,33 +192,32 @@ def alternating_reach(
 
 
 def maximum_matching(g: ConflictGraph) -> MatchingResult:
-    """Perfect matching as a Permutation, or a deterministic Hall violator.
+    """Perfect matching as a Permutation, or a deterministic Hall violator."""
+    return _match([row.bits for row in g.adjacency], g.n)
 
-    The certificate is grown from the lowest-index unmatched left vertex;
-    every right neighbour is matched back inside it, so it has exactly
-    |I| - 1 neighbours.
-    """
-    adj = [row.bits for row in g.adjacency]
-    match_l, match_r = max_bipartite_matching(adj, g.n)
+
+def _match(adj: list[int], n: int) -> MatchingResult:
+    """``maximum_matching`` on bitmask rows.  The certificate is grown from
+    the lowest-index unmatched left vertex; every right neighbour is matched
+    back inside it, so it has exactly |I| - 1 neighbours."""
+    match_l, match_r = max_bipartite_matching(adj, n)
     if -1 not in match_l:
-        return MatchingResult(Permutation(g.n, tuple(match_l)), None)
+        return MatchingResult(Permutation(n, tuple(match_l)), None)
     violator, layers = alternating_reach(adj, match_r, [match_l.index(-1)])
     neighbourhood = sum(layers)  # the layers are disjoint
     if neighbourhood.bit_count() >= violator.bit_count():
         raise RuntimeError("certificate postcondition violated: not a Hall violator")
-    return MatchingResult(None, Subset(g.n, violator), Subset(g.n, neighbourhood))
+    return MatchingResult(None, Subset(n, violator), Subset(n, neighbourhood))
 
 
 def decide_invertible(c: Collection) -> MatchingResult:
     """Decide invertibility; a returned permutation is re-verified on every
     set by one gather over the membership pairs."""
-    result = maximum_matching(conflict_graph(c))
+    result = _match(_conflict_rows(c), c.n)
     if result.matched is not None:
         failing = np.flatnonzero(~inverted(c, result.matched))
         if failing.size:
-            raise RuntimeError(
-                f"matching postcondition violated: permutation fails set {failing[0]}"
-            )
+            raise RuntimeError(f"matching postcondition violated: permutation fails set {failing[0]}")
     return result
 
 

@@ -30,8 +30,7 @@ def sigma(n: int) -> int:
     """Number of simple permutations of n points: n! / (2^floor(n/2) floor(n/2)!)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    h = n // 2
-    return factorial(n) // ((1 << h) * factorial(h))
+    return lambda_simple(n, 0)  # every simple permutation inverts the empty set
 
 
 def lambda_simple(n: int, i: int) -> int:
@@ -46,7 +45,10 @@ def lambda_simple(n: int, i: int) -> int:
     h = n // 2
     if i > h:
         return 0
-    return factorial(n - i) // ((1 << (h - i)) * factorial(h - i))
+    try:
+        return factorial(n - i) // ((1 << (h - i)) * factorial(h - i))
+    except OverflowError:  # math.factorial takes no argument past a C long
+        raise ValueError(f"n = {n} is too large to count exactly") from None
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,9 @@ def _record(n: int, lists: list[list[int]]) -> Incidence:
         raise ValueError(f"element {x} outside ground set [0, {top})")
     owner = np.repeat(np.arange(len(sizes)), sizes)
     if not ((elements[1:] > elements[:-1]) | (owner[1:] != owner[:-1])).all():
-        order = np.lexsort((elements, owner))
+        order = np.argsort(elements)  # unstable: equal (owner, element) pairs are repeats
+        # then stably by owner, narrowed so that up to 2^16 sets take a radix sort
+        order = order[np.argsort(owner[order].astype(np.min_scalar_type(len(sizes) - 1)), kind="stable")]
         elements, owner = elements[order], owner[order]
         keep = np.append(True, (elements[1:] != elements[:-1]) | (owner[1:] != owner[:-1]))
         elements, sizes = elements[keep], np.bincount(owner[keep], minlength=len(sizes))

@@ -105,6 +105,19 @@ def test_sigma_lambda(capsys):
     assert code == 0 and out.strip() == "6"
 
 
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [["sigma", HUGE], ["lambda", HUGE, "3"], ["--json", "sigma", HUGE], ["--json", "lambda", HUGE, "3"]])
+def test_sigma_lambda_past_the_factorial_limit_are_usage_errors(capsys, argv):
+    # math.factorial refuses arguments past 2^63 - 1; that is a usage error
+    # (exit 2), never the negative result (exit 1) a traceback would give
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n = {HUGE} is too large to count exactly\n"
+
+
 def test_sigma_lambda_beyond_int_digit_limit(capsys):
     # exact values longer than the interpreter's default int-to-str cap
     old = sys.get_int_max_str_digits()

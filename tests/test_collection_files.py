@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from setpack import Collection, Permutation, Subset, cli, invert, pack, qcube, setcore
-from setpack.invert import conflict_graph, decide_invertible
+from setpack.invert import conflict_graph, decide_invertible, maximum_matching
 from setpack.setcore import (
     FormatError,
     inverted,
@@ -58,7 +58,7 @@ def parsed(parse, text):
         return str(e)
 
 
-@pytest.mark.parametrize("n", WIDTHS)
+@pytest.mark.parametrize("n", sorted({*WIDTHS, 63, 64, 65}))  # and the tail word's edges
 def test_files_and_conflict_graphs_match_the_oracles(n):
     rng = random.Random(n)
     for c in drawn(rng, n, 12 if n < 4096 else 3):
@@ -67,6 +67,7 @@ def test_files_and_conflict_graphs_match_the_oracles(n):
         assert text == naive_serialize_collection(c, comments)
         assert parse_collection(text) == naive_parse_collection(text) == c
         assert conflict_graph(c) == naive_conflict_graph(c)
+        assert decide_invertible(c) == maximum_matching(conflict_graph(c))
         assert [s.elements() for s in c.sets] == [naive_elements(s.bits) for s in c.sets]
 
 

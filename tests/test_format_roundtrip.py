@@ -1,4 +1,5 @@
 """parse(serialize(x)) == x for the three file formats, on generated values."""
+import random
 import re
 
 import numpy as np
@@ -86,6 +87,15 @@ def test_record_of_subsets_with_empty_sets_matches_the_oracle(case):
     assert same_record(c.incidence, SubsetIncidence(n, [Subset.of(n, s) for s in sets]))
     rebuilt = Collection(c.n, c.incidence)  # and back: the Subsets from the record
     assert rebuilt.sets == c.sets and rebuilt == c and repr(rebuilt) == repr(c)
+
+
+@pytest.mark.parametrize("m", [1 << 16, (1 << 16) + 1])  # the last count whose owners fit 16 bits, and the next
+def test_record_of_many_unsorted_sets_with_repeats_matches_the_oracle(m):
+    rng = random.Random(m)
+    n = 100
+    sets = [[rng.randrange(n) for _ in range(rng.randrange(6))] for _ in range(m)]
+    c = Collection.of(n, sets)
+    assert same_record(c.incidence, SubsetIncidence(n, [Subset.of(n, s) for s in sets]))
 
 
 @SETTINGS

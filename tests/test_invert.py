@@ -11,6 +11,7 @@ from setpack import (
     check_triple,
     conflict_graph,
     decide_invertible,
+    invert,
     inverts,
     maximum_matching,
 )
@@ -71,6 +72,25 @@ def test_decide_examples():
 
     r = decide_invertible(Collection.of(2, [[0, 1]]))
     assert not r.invertible
+
+
+def test_decide_builds_subsets_only_for_a_certificate(monkeypatch):
+    # the conflict rows stay ints from the gather to the matcher: a witness
+    # builds no Subset, a certificate exactly two (I and N(I))
+    built = []
+
+    class Counted(Subset):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(invert, "Subset", Counted)
+    n = 512
+    r = decide_invertible(Collection.of(n, [[x, x + 1] for x in range(0, n, 2)]))
+    assert r.invertible and built == []
+    r = decide_invertible(Collection.of(n, [range(n // 2 + 1), [0, n - 1]]))
+    assert not r.invertible and built == [r.certificate, r.neighbourhood]
+    assert r.certificate.cardinality() > r.neighbourhood.cardinality()
 
 
 def test_brute_force_examples():
