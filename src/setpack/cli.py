@@ -94,7 +94,8 @@ def _cmd_invert(args, out: Outcome):
     result = invert.decide_invertible(col)
     if result.invertible:
         perm = result.matched
-        out.say(setcore.serialize_permutation(perm).strip())
+        if not args.json:
+            out.say(setcore.serialize_permutation(perm).strip())
         out.say(f"verified: permutation inverts all {col.m} sets")
         out.doc = {
             "invertible": True,
@@ -131,14 +132,14 @@ def _cmd_triple(args, out: Outcome):
 
 
 def _cmd_sigma(args, out: Outcome):
-    value = kappa.sigma(args.n)
+    value = kappa.sigma(args.n, args.limit or kappa.DEFAULT_COUNT_LIMIT)
     with exact_int_output():
         out.say(str(value))
     out.doc = {"n": args.n, "sigma": value}
 
 
 def _cmd_lambda(args, out: Outcome):
-    value = kappa.lambda_simple(args.n, args.i)
+    value = kappa.lambda_simple(args.n, args.i, args.limit or kappa.DEFAULT_COUNT_LIMIT)
     with exact_int_output():
         out.say(str(value))
     out.doc = {"n": args.n, "i": args.i, "lambda": value}
@@ -158,7 +159,8 @@ def _cmd_kappa(args, out: Outcome):
     else:
         perm, count = kappa.find_simple_permutation(col)
         label = "derandomized simple permutation"
-    out.say(setcore.serialize_permutation(perm).strip())
+    if not args.json:
+        out.say(setcore.serialize_permutation(perm).strip())
     out.say(f"{label}: inverts {count} of {col.m} sets")
     # both searches recount their answer and raise below ceil(bound)
     out.say(f"verified: recount == count, count >= ceil(bound) = {ceil(bound)}")
@@ -318,6 +320,21 @@ def _cmd_cube_verify(args, out: Outcome):
     out.code = 0 if ok else 1
 
 
+def dump_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2), from the C encoder's one-line text of each
+    value when doc maps str keys to scalars and lists of numbers, bools and
+    None, as every command's document does; else by json.dumps itself."""
+    fields = []
+    for key, value in doc.items():
+        text = json.dumps(value)
+        if type(key) is not str or text[0] == "{" or text[0] == "[" and ('"' in text or "{" in text or text.count("[") > 1):
+            return json.dumps(doc, indent=2)
+        if text[0] == "[" and len(text) > 2:
+            text = "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole argument tree, built once per process: parse_args leaves
@@ -420,7 +437,7 @@ def main(argv=None) -> int:
     if args.json:
         out.doc["exit_code"] = out.code
         with exact_int_output():
-            print(json.dumps(out.doc, indent=2))
+            print(dump_json(out.doc))
     else:
         for line in out.lines:
             print(line)

@@ -24,27 +24,30 @@ import numpy as np
 from .setcore import Collection, Permutation, inverted, inverts
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
+DEFAULT_COUNT_LIMIT = 100_000  # the CLI's cap on n - i: sigma(100,000) has 228,286 digits
 
 
-def sigma(n: int) -> int:
+def sigma(n: int, limit: int | None = None) -> int:
     """Number of simple permutations of n points: n! / (2^floor(n/2) floor(n/2)!)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return lambda_simple(n, 0)  # every simple permutation inverts the empty set
+    return lambda_simple(n, 0, limit)  # every simple permutation inverts the empty set
 
 
-def lambda_simple(n: int, i: int) -> int:
+def lambda_simple(n: int, i: int, limit: int | None = None) -> int:
     """Number of simple permutations of n points inverting a fixed i-subset.
 
-    (n-i)! / (2^(floor(n/2)-i) (floor(n/2)-i)!); zero when i > floor(n/2)
-    (no permutation can move that many points off the set).  The count is
-    the same for every i-subset by symmetry.
+    (n-i)! / (2^(h-i) (h-i)!), h = floor(n/2); zero when i > h (no
+    permutation can move that many points off the set), and refused before
+    any factorial when n - i > limit.  The same for every i-subset by symmetry.
     """
     if n < 0 or i < 0:
         raise ValueError("n and i must be non-negative")
     h = n // 2
     if i > h:
         return 0
+    if limit is not None and n - i > limit:
+        raise ValueError(f"n = {n} is too large to count exactly")
     try:
         return factorial(n - i) // ((1 << (h - i)) * factorial(h - i))
     except OverflowError:  # math.factorial takes no argument past a C long

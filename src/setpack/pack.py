@@ -268,7 +268,7 @@ def _structure_report(f: PackingFamily) -> PackingReport | None:
     if (int(index.max()) + 1) ** 2 > parts * count or _shared_pairs(index):
         return None
     sub_points = np.unique(points.reshape(-1, s)[at] - starts[at % parts, None], axis=0)  # their union
-    bound = _product_bound(sub_points, p, parts)
+    bound = _product_bound(sub_points, parts)
     return _witness_report(f, bound, points[:2]) if bound < alpha * size else None
 
 
@@ -304,9 +304,10 @@ def _product_rows(subs: np.ndarray, coeffs, p: int, start: int, stop: int) -> np
     return gathered.reshape(stop - start, -1)
 
 
-def _product_bound(subs: np.ndarray, p: int, parts: int) -> int:
-    """U = s + (parts-1)*sub_max over the sub-blocks subs, rows of s points of [0, p)."""
-    return subs.shape[1] + (parts - 1) * _max_pair(subs, p)[0]
+def _product_bound(subs: np.ndarray, parts: int) -> int:
+    """U = s + (parts-1)*sub_max over the sub-blocks subs, rows of s points ranked first: free of the part width."""
+    points, rank = np.unique(subs, return_inverse=True)
+    return subs.shape[1] + (parts - 1) * _max_pair(rank.reshape(subs.shape), points.size)[0]
 
 
 def _witness_report(f: PackingFamily, bound: int, pair: np.ndarray) -> PackingReport | None:
@@ -346,9 +347,10 @@ class LevelTrace:
 def constituent_table(q: int, coeffs, start: int = 0, stop: int | None = None) -> np.ndarray:
     """int64 (q*q, parts) table, or its rows start .. stop - 1: row l*q + m
     holds the sub-block index each part takes for block (l, m), namely l,
-    m and (l + a*m) mod q for each coefficient a."""
+    m and (l + a*m) mod q for each coefficient a: m*(0, 1, a...) + l*(1,
+    0, 1...) mod q, so rows m < q and q are the (0, m) and (1, 0) blocks."""
     l, m = np.divmod(np.arange(start, q * q if stop is None else stop), q)
-    return np.stack([l, m] + [(l + a * m) % q for a in coeffs], axis=1)
+    return (np.outer(m, (0, 1, *coeffs)) + np.outer(l, (1, 0) + (1,) * len(coeffs))) % q
 
 
 def _coefficients(parts: int) -> tuple[int, ...]:
@@ -373,7 +375,7 @@ def _proof_fault(family: PackingFamily, subs: np.ndarray, q: int, coeffs) -> tup
     which must be below the threshold."""
     parts = len(coeffs) + 2
     threshold = family.declared_alpha * family.block_size
-    bound = _product_bound(subs, family.n // parts, parts)
+    bound = _product_bound(subs, parts)
     for failed, why in (
         (not (_is_prime(q) and q > parts), f"q = {q} is not a prime above {parts}"),
         (len(set(coeffs)) < len(coeffs) or not all(2 <= a < q for a in coeffs),
@@ -541,21 +543,28 @@ def no_three_invertible_family(n: int, k: int, rs: PackingFamily) -> Collection:
 
 def family_chunks(f: PackingFamily) -> Iterator[bytes]:
     """The family file in chunks: the collection file with a '# packing'
-    header.  A ProductFamily's is rendered from its sub-blocks in row
-    blocks of about setcore._WRITE_BLOCK points (_product_rows), never from
-    a record; any other family's is written from its record."""
+    header.  A ProductFamily's is its sub-blocks' digit_cells in each part,
+    each part's q rows twice, gathered whole in row blocks of about
+    setcore._WRITE_BLOCK points: block (l, m) takes rows first[m] + l*moves,
+    below 2q, by constituent_table.  Any other's is written from its record."""
     alpha, c = f.declared_alpha, f.achieved_c
     header = [f"packing n={f.n} alpha={alpha.numerator}/{alpha.denominator} c={c.numerator}/{c.denominator}"]
     if not isinstance(f, ProductFamily):
         yield write_collection(f, header)
         return
     yield setcore.file_head(f.n, header)
-    size, count = f.block_size, f.m
-    step = max(1, setcore._WRITE_BLOCK // size)
-    ends = np.arange(size - 1, step * size, size)  # each block's last point
-    for a in range(0, count, step):
-        rows = _product_rows(f.subs, f.coefficients, f.part, a, min(a + step, count))
-        yield from setcore.write_lines(rows.reshape(-1), ends[: len(rows)])
+    q, parts = len(f.subs), len(f.coefficients) + 2
+    cells = setcore.digit_cells(f.subs + np.arange(parts)[:, None, None] * f.part)  # [part][sub-block][point]
+    cells[-1, :, -1, -1, 4] = 10  # a block's last point ends its line
+    cells = np.concatenate([cells, cells], axis=1).reshape(2 * q * parts, -1)  # each part's q rows twice
+    table = constituent_table(q, f.coefficients, 0, q + 1)
+    first, moves = table[:q] + np.arange(parts) * 2 * q, table[q]  # blocks (0, m) and (1, 0), per part's rows
+    step = max(1, setcore._WRITE_BLOCK // f.block_size)
+    for a in range(0, f.m, step):
+        l, m = np.divmod(np.arange(a, min(a + step, f.m)), q)
+        index = first[m]
+        index += l[:, None] * moves  # in place: no third index array is held
+        yield np.take(cells, index, axis=0).tobytes().translate(None, b"\0")
 
 
 def write_family(f: PackingFamily) -> bytes:

@@ -33,7 +33,7 @@ from .kappa import find_simple_permutation
 from .setcore import MAX_BITS, Collection, FormatError, Incidence, Lines, Permutation, _scatter, ascii_bytes, bit_positions, bits_of, read_decimals, read_lines
 
 # The largest n at which `cube build --assist` plus `cube verify` finish in
-# under 10 s and 1 GB: 8.1-8.6 s, 636 MB at n = 21; the n = 22 build alone takes 1,295 MB (2-core VM).
+# under 10 s and 1 GB: 4.9-5.8 s, 328 MB at n = 21, and 9.1-11.1 s, 675 MB at n = 22 (2-core VM).
 DEFAULT_SQUARE_LIMIT = 21
 
 

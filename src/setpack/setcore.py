@@ -436,17 +436,38 @@ def _digit_table() -> np.ndarray:
     return np.frombuffer(rows, np.uint8).reshape(10**4, 5)
 
 
+def digit_cells(e: np.ndarray) -> np.ndarray:
+    """Cells of the numbers e >= 0, uint8 of shape e.shape + (groups, 5): a
+    ``_digit_table`` row per base-10^4 group, the lowest last, NUL above a
+    number's first digit and in all separators but the last."""
+    if e.max(initial=0) < 10**4:
+        return np.take(_digit_table(), e[..., None], axis=0)
+    g = e[..., None] // 10 ** (4 * np.arange((len(str(int(e.max()))) - 1) // 4, -1, -1))
+    rows = np.take(_digit_table(), g % 10**4, axis=0)
+    rows[..., :-1, 4] = 0  # one separator, after the lowest group
+    rows[..., :4] |= (g >= 10**4)[..., None] * np.uint8(48)  # inner groups keep their zeros
+    rows[..., :-1, :] *= (g[..., :-1] > 0)[..., None]  # no group above the first digit
+    return rows
+
+
 def write_collection(c: Collection, header_comments: Iterable[str] = ()) -> bytes:
     """Canonical file of c as bytes; parse_collection(write_collection(c)) == c.
 
     Empty member sets cannot be represented (the format has no line for
     them), nor can comments beyond tab and printable ASCII be read back,
-    so both are rejected.  The record goes through ``write_lines``."""
-    head, inc = file_head(c.n, header_comments), c.incidence
-    sizes = np.diff(inc.indptr)
+    so both are rejected.  The record is written _WRITE_BLOCK elements at
+    a time: their ``digit_cells``, a '\n' after each set's last element,
+    and the NUL bytes dropped."""
+    chunks, inc = [file_head(c.n, header_comments)], c.incidence
+    sizes, last = np.diff(inc.indptr), inc.indptr[1:] - 1  # each set's last element
     if (sizes == 0).any():
         raise ValueError(f"set {int(np.argmax(sizes == 0))} is empty and has no file representation")
-    return head + b"".join(write_lines(inc.elements, inc.indptr[1:] - 1))  # each set's last element
+    for a in range(0, inc.elements.size, _WRITE_BLOCK):
+        rows = digit_cells(inc.elements[a : a + _WRITE_BLOCK])
+        lo, hi = np.searchsorted(last, [a, a + len(rows)])
+        rows[last[lo:hi] - a, -1, 4] = 10
+        chunks.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
 
 
 def file_head(n: int, header_comments: Iterable[str] = ()) -> bytes:
@@ -456,27 +477,6 @@ def file_head(n: int, header_comments: Iterable[str] = ()) -> bytes:
         if re.search(r"[^\t -\x7f]", ln):
             raise ValueError(f"comment {ln!r} holds a character that collection files refuse")
     return ("\n".join(out + [str(n)]) + "\n").encode("ascii")
-
-
-def write_lines(e: np.ndarray, last: np.ndarray) -> Iterator[bytes]:
-    """The set lines of a collection file holding the elements e, in
-    chunks, ``last`` the increasing indices of the elements that end a
-    set.  They are written _WRITE_BLOCK elements at a time: one
-    ``_digit_table`` gather per base-10^4 group of digits, a '\n' after
-    each set's last element, and the NUL bytes dropped."""
-    for a in range(0, e.size, _WRITE_BLOCK):
-        q = e[a : a + _WRITE_BLOCK, None]
-        if q.max() < 10**4:
-            rows = np.take(_digit_table(), q, axis=0)
-        else:  # one column per base-10^4 group, the lowest last
-            q = q // 10 ** (4 * np.arange((len(str(int(q.max()))) - 1) // 4, -1, -1))
-            rows = np.take(_digit_table(), q % 10**4, axis=0)
-            rows[:, :-1, 4] = 0  # one separator, after the lowest group
-            rows[..., :4] |= (q >= 10**4)[..., None] * np.uint8(48)  # inner groups keep their zeros
-            rows[:, :-1] *= (q[:, :-1] > 0)[..., None]  # no group above the first digit
-        lo, hi = np.searchsorted(last, [a, a + q.shape[0]])
-        rows[last[lo:hi] - a, -1, 4] = 10
-        yield rows.tobytes().translate(None, b"\0")
 
 
 def serialize_collection(c: Collection, header_comments: Iterable[str] = ()) -> str:

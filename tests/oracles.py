@@ -9,7 +9,9 @@ count_table_find_simple_permutation, which scores every candidate with
 one object-dtype big-integer product per step over a full factorial
 lambda table; naive_verify_packing, the pairwise
 check through one dense Gram matrix; naive_shared_constituent_violations,
-the dict-counting walk over the construction record;
+the dict-counting walk over the construction record, and
+naive_constituent_table, the constituent table with one column per
+coefficient;
 naive_max_bipartite_matching with naive_alternating_reach, the layered
 matching with its per-neighbour queue BFS and recursive DFS, and the
 alternating walk returning (left, right) masks; and the cube edge file's
@@ -59,7 +61,7 @@ from setpack import (
 )
 from setpack import decide_invertible, pack, qcube
 from setpack.invert import check_triple
-from setpack.pack import LevelTrace, PackingReport, constituent_table
+from setpack.pack import LevelTrace, PackingReport
 from setpack.setcore import FormatError, Incidence
 
 
@@ -423,7 +425,7 @@ def naive_shared_constituent_violations(trace: LevelTrace) -> int:
     node: LevelTrace | None = trace
     while node is not None:
         if node.q is not None:
-            constituents = constituent_table(node.q, node.coefficients).tolist()
+            constituents = naive_constituent_table(node.q, node.coefficients).tolist()
             width = len(constituents[0])
             for c1 in range(width):
                 for c2 in range(c1 + 1, width):
@@ -434,6 +436,13 @@ def naive_shared_constituent_violations(trace: LevelTrace) -> int:
                     violations += sum(v * (v - 1) // 2 for v in buckets.values() if v > 1)
         node = node.sub
     return violations
+
+
+def naive_constituent_table(q: int, coeffs, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """int64 (q*q, parts) table, or its rows start .. stop - 1: row l*q + m
+    holds l, m and (l + a*m) mod q for each coefficient a."""
+    l, m = np.divmod(np.arange(start, q * q if stop is None else stop), q)
+    return np.stack([l, m] + [(l + a * m) % q for a in coeffs], axis=1)
 
 
 def naive_max_bipartite_matching(adj, n_right: int) -> tuple[list[int], list[int]]:
@@ -757,7 +766,7 @@ def _subset_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
     coeffs = tuple(j - 1 for j in range(3, parts + 1))
     used_n = parts * p
     placed = [[b.bits << (part * p) for b in ordered[:q]] for part in range(parts)]  # [part][index]
-    table = constituent_table(q, coeffs).tolist()
+    table = naive_constituent_table(q, coeffs).tolist()
     blocks = tuple(Subset(used_n, sum(map(getitem, placed, idx))) for idx in table)
     family = PackingFamily(used_n, blocks, alpha)
     report = pack._certified_report(family, np.array([b.elements() for b in ordered[:q]]), q, coeffs)
@@ -791,7 +800,7 @@ def _eager_construct(n: int, k: int) -> tuple[PackingFamily, LevelTrace]:
             kind, family = "fallback", PackingFamily(p, sub_family.incidence, alpha)
         else:
             q, coeffs = prime, pack._coefficients(parts)
-            points = ordered[:q][constituent_table(q, coeffs)]  # [block][part][point]
+            points = ordered[:q][naive_constituent_table(q, coeffs)]  # [block][part][point]
             points += (np.arange(parts) * p)[:, None]
             record = Incidence(parts * p, np.arange(q * q + 1) * points[0].size, points.reshape(-1))
             kind, family = "constructed", PackingFamily(parts * p, record, alpha)

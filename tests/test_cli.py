@@ -1,15 +1,27 @@
 import json
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
 
-from setpack import Collection, invert, kappa, pack, qcube, setcore
-from setpack.cli import main, parse_ratio
+from setpack import Collection, cli, invert, kappa, pack, qcube, setcore
+from setpack.cli import dump_json, exact_int_output, main, parse_ratio
 
 from oracles import naive_no_three_checks, naive_verify_packing
 from fractions import Fraction
+
+
+@pytest.fixture(autouse=True)
+def documents_as_the_encoder_writes_them(monkeypatch):
+    # every --json document written in these tests is json.dumps(doc, indent=2)
+    def checked(doc):
+        text = dump_json(doc)
+        assert text == json.dumps(doc, indent=2), doc
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", checked)
 
 
 def run(capsys, *argv):
@@ -116,6 +128,28 @@ def test_sigma_lambda_past_the_factorial_limit_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n = {HUGE} is too large to count exactly\n"
+
+
+@pytest.mark.parametrize("argv", [["sigma", "1000000000"], ["lambda", "1000000000", "3"], ["lambda", "1000000000", "0"]])
+def test_sigma_lambda_refuse_past_the_cap_before_counting(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: n = 1000000000 is too large to count exactly\n"
+
+
+def test_sigma_lambda_cap_and_its_override(monkeypatch, capsys):
+    monkeypatch.setattr(kappa, "DEFAULT_COUNT_LIMIT", 3000)
+    assert main(["sigma", "3001"]) == 2
+    assert "n = 3001 is too large" in capsys.readouterr().err
+    code, out = run(capsys, "--limit", "3001", "sigma", "3001")
+    assert code == 0 and len(out.strip()) > 4300
+    # lambda N I is capped on N - I, and past floor(N/2) the count is 0
+    code, out = run(capsys, "lambda", "3002", "2")
+    assert code == 0 and len(out.strip()) > 4300
+    assert main(["lambda", "3002", "1"]) == 2
+    capsys.readouterr()
+    assert run(capsys, "lambda", "10000000000", "5000000001") == (0, "0\n")
 
 
 def test_sigma_lambda_beyond_int_digit_limit(capsys):
@@ -569,6 +603,56 @@ def test_cube_verify_decodes_written_files_as_tokens_read_them(tmp_path, capsys,
     monkeypatch.setattr(qcube, "read_lines", refuse)
     path.write_bytes(raw)
     assert verify(11, decode)[0] == (0, "5039 edges: square-blocking\n", "")
+
+
+def test_dump_json_edge_cases():
+    docs = [
+        {},
+        {"empty": [], "none": None, "yes": True, "no": False, "float": 0.1, "nan": float("nan"), "inf": float("-inf")},
+        {"quoted": 'say "a, b" \\ [c] {d}', "list": [None, True, False, -1, 2.5, 10**20]},
+        {"strings": ["a, b", "c"]},  # the encoder's own path from here on
+        {"nested": [[1, 2], []]},
+        {"dict": {"a": [1]}},
+        {"empty dict": {}},
+        {1: "int key"},
+        {"tuple": (1, 2), "big": -(10**4400), "bigs": [10**4301, 0]},
+    ]
+    with exact_int_output():
+        for doc in docs:
+            assert dump_json(doc) == json.dumps(doc, indent=2), doc
+        assert len(dump_json({"big": 10**4400})) > 4400
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--input", "{positive}"], ["invert", "--input", "{negative}"], ["triple", "--input", "{triple}"],
+    ["sigma", "6"], ["lambda", "6", "3"], ["kappa", "--input", "{positive}"],
+    ["kappa", "--input", "{positive}", "--exhaustive"], ["pack", "build", "--n", "28", "--alpha", "1/2"],
+    ["pack", "verify", "--input", "{family}"], ["pack", "no3", "--n", "12", "--k", "3"],
+    ["bounds", "lower", "--alpha", "1/3"], ["bounds", "upper", "--alpha", "1/3", "--c", "1/2"],
+    ["bounds", "optimum", "--alpha", "1/3"], ["cube", "build", "--n", "6", "--assist"],
+    ["cube", "verify", "--n", "6", "--edges", "{edges}"],
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
+def test_every_command_document(argv, monkeypatch, tmp_path, capsys):
+    # each command's --json document goes through dump_json (checked by the
+    # fixture above); only the text output writes the permutation's line
+    files = {"positive": "4\n0 1\n2 3\n", "negative": "4\n0 1\n0 2\n0 3\n", "triple": "6\n0\n1\n2\n",
+             "family": pack.serialize_family(pack.construct_packing(28, Fraction(1, 2)))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    main(["cube", "build", "--n", "6", "--out", str(tmp_path / "edges")])
+    capsys.readouterr()
+    argv = [a.format(**{name: tmp_path / name for name in [*files, "edges"]}) for a in argv]
+    lines, real = [], setcore.serialize_permutation
+    monkeypatch.setattr(setcore, "serialize_permutation", lambda p: lines.append(real(p)) or lines[-1])
+    code, text = run(capsys, *argv)
+    written = lines[:]
+    lines.clear()
+    json_code, doc = run(capsys, "--json", *argv)
+    doc = json.loads(doc)
+    assert doc["exit_code"] == code == json_code and not lines
+    assert written == ([real(setcore.Permutation(len(doc["permutation"]), tuple(doc["permutation"])))]
+                       if "permutation" in doc else [])
+    assert all(line.strip() in text.splitlines() for line in written)
 
 
 def test_deterministic_output(tmp_path, capsys):

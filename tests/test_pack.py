@@ -37,6 +37,7 @@ from setpack.setcore import Incidence, Subset
 from oracles import (
     SubsetIncidence,
     eager_construct_packing_traced,
+    naive_constituent_table,
     naive_no_three_checks,
     naive_parse_collection,
     naive_shared_constituent_violations,
@@ -436,12 +437,37 @@ def test_build_renders_the_eager_family(monkeypatch, tmp_path, capsys):
             assert "record" not in vars(fam)
         assert fam == oracle and trace == oracle_trace, (n, alpha)
         assert same_record(fam.incidence, oracle.incidence)
-    # rendered in row blocks of any width, even below one block
+    # rendered in row blocks of any width, even below one block, also with
+    # one point per sub-block (2000, 1/16); the oracle's file is
+    # write_collection's, whose width test_collection_files varies
+    cases = [(n, Fraction(alpha)) for n, alpha in ((28, "1/2"), (100, "1/4"), (2000, "1/16"), (400, "1/2"))]
+    want = {case: pack.write_family(eager_construct_packing_traced(*case)[0]) for case in cases}
     for width in (1, 5, 97):
         monkeypatch.setattr(setcore, "_WRITE_BLOCK", width)
-        for n, alpha in ((28, "1/2"), (100, "1/4")):
-            oracle, _ = eager_construct_packing_traced(n, Fraction(alpha))
-            assert pack.write_family(construct_packing(n, Fraction(alpha))) == pack.write_family(oracle), (width, n)
+        for case in cases:
+            assert pack.write_family(construct_packing(*case)) == want[case], (width, case)
+
+
+def test_wide_parts_render_as_their_record(monkeypatch, tmp_path, capsys):
+    # a built family's sub-blocks, coefficients and alpha on parts 10^4 and
+    # 10^8 wide: its points pass 10^4 or 10^8, so they take two or three
+    # base-10^4 groups, inner ones of zeros among them; its file is
+    # write_collection's of its record, and pack verify certifies it from
+    # the proof, whose U does not depend on the part width, unparsed
+    parsed, real = [], setcore.parse_collection
+    monkeypatch.setattr(setcore, "parse_collection", lambda text: parsed.append(1) or real(text))
+    path = tmp_path / "fam.txt"
+    for n, alpha in ((28, "1/2"), (2000, "1/16"), (400, "1/2")):
+        fam = construct_packing(n, Fraction(alpha))
+        for part in (10**4, 10**8):
+            wide = pack.ProductFamily(fam.subs, fam.coefficients, part, fam.declared_alpha)
+            data = pack.write_family(wide)
+            assert wide.incidence.elements.min() < 10**4 and wide.incidence.elements.max() > part
+            assert data == setcore.write_collection(wide, [data.split(b"\n", 1)[0].decode()]), (n, alpha, part)
+            path.write_bytes(data)
+            (code, out, err), _ = verify_runs(capsys, path, None)
+            assert code == 0 and not parsed and not err, (n, alpha, part)
+            assert out.startswith(f"{wide.m} blocks of size {wide.block_size} on n={wide.n}\n"), (n, alpha, part)
 
 
 def construction_order_edits(fam, q):
@@ -685,6 +711,19 @@ def test_constituent_table():
     assert constituent_table(3, (2,)).tolist() == [
         [0, 0, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1], [1, 1, 0], [1, 2, 2], [2, 0, 2], [2, 1, 1], [2, 2, 0]]
     assert constituent_table(1, ()).tolist() == [[0, 0]]
+
+
+def test_constituent_table_matches_oracle():
+    # coefficients of any value, repeats allowed, and any row range
+    rng = random.Random(5)
+    for q in (3, 5, 89, 113):
+        for count in range(31):
+            coeffs = tuple(rng.randrange(3 * q) for _ in range(count))
+            start = rng.randrange(q * q)
+            stop = rng.randrange(start, q * q + 1)
+            for rows in ((), (start,), (start, stop)):
+                want, got = naive_constituent_table(q, coeffs, *rows), constituent_table(q, coeffs, *rows)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (q, coeffs, rows)
 
 
 def test_shared_constituent_violations_match_oracle():
