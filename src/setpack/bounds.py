@@ -106,10 +106,10 @@ def optimal_c(alpha: float) -> float:
 
 
 def upper_bound_small_c(c: float, alpha: float) -> float:
-    """(1 - alpha) / (c - alpha): the packing size cap when c > alpha."""
+    """(1 - alpha) / (c - alpha): the packing size cap when 1 >= c > alpha."""
     c, alpha = float(c), float(alpha)
-    if c <= alpha:
-        raise ValueError("this bound requires c > alpha")
+    if not alpha < c <= 1:  # a block of cn points needs c <= 1
+        raise ValueError("this bound requires alpha < c <= 1")
     return (1.0 - alpha) / (c - alpha)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, comb, factorial, gcd
+from math import ceil, comb, factorial, prod
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -96,10 +96,10 @@ def oversized_count(c: Collection) -> int:
 
 def kappa_lower_bound(p: SizeProfile) -> Fraction:
     """Average number of sets inverted by a uniform simple permutation:
-    sum_i m_i * lambda_simple(n, i) / sigma(n), exactly, from one _lambda_row."""
+    sum_i m_i * lambda_simple(n, i) / sigma(n), exactly, from one _ratio_row."""
     top = max((i for i, m in enumerate(p.counts, start=1) if m), default=0)
-    row = _lambda_row(p.n, top, sigma(p.n))  # row[0] = sigma(n)
-    return Fraction(sum(m * lam for m, lam in zip(p.counts, row[1:])), row[0])
+    row, den = _ratio_row(p.n, top)
+    return Fraction(sum(m * r for m, r in zip(p.counts, row[1:])), den)
 
 
 def simple_permutations(n: int) -> Iterator[Permutation]:
@@ -157,26 +157,19 @@ def exhaustive_kappa(
 _FIXED = -1  # virtual partner: anchor stays a fixed point
 
 
-def _sigma_row(n: int) -> list[int]:
-    """[sigma(f) for f in 0 .. n], built by the recurrence sigma(f) =
-    f * sigma(f-1) for odd f and sigma(f-1) for even f: one multiplication
-    per odd entry."""
-    row = [1]
-    for f in range(1, n + 1):
-        row.append(row[-1] * f if f % 2 else row[-1])
-    return row
+def _ratio_row(f: int, umax: int) -> tuple[list[int], int]:
+    """(L, D) with L[u] / D = lambda_simple(f, u) / sigma(f) for u in 0 ..
+    umax, in integers of about U log f bits, U = min(umax, h), h = floor(f/2).
 
-
-def _lambda_row(f: int, umax: int, first: int) -> list[int]:
-    """[lambda_simple(f, u) for u in 0 .. umax] from first = lambda_simple(f,
-    0) = sigma(f), built by the recurrence lambda(f, u+1) = lambda(f, u) *
-    2(h-u) / (f-u), h = floor(f/2): one small multiplication and one exact
-    division per entry, zero past h."""
+    From lambda(f, u+1) / lambda(f, u) = 2(h-u) / (f-u): D = prod_{j<U} (f-j)
+    and L[u] = prod_{j<u} 2(h-j) * prod_{u<=j<U} (f-j), zero past h.  Each
+    step divides exactly, as L[u] holds the factor f-u for u < U."""
     h = f // 2
-    row = [first]
-    for u in range(min(umax, h)):
-        row.append(row[-1] * (2 * (h - u)) // (f - u))
-    return row + [0] * (umax - h)
+    top = min(umax, h)
+    row = [prod(range(f - top + 1, f + 1))]  # D = L[0]
+    for u in range(top):
+        row.append(row[-1] // (f - u) * (2 * (h - u)))
+    return row + [0] * (umax - top), row[0]
 
 
 def _first_max(rows: np.ndarray, weights: list[int], width: int) -> tuple[int, int]:
@@ -203,42 +196,40 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     completion.  With u live elements of a set S among f free points, the
     completion inverts S with probability lambda_simple(f, u) / sigma(f);
     a set dies once a chosen 2-cycle lies inside it, or the fixed point
-    lands in it.  Branch expectations share the denominator sigma(f'), so
-    candidates compare by integer numerator alone and the choice is exact;
-    the first candidate reaching the maximum wins.
+    lands in it.  `_ratio_row` gives that probability as L_f[u] / D_f in
+    integers of about umax * log f bits, umax the largest live u.  Pairing
+    branches share the denominator D_{f-2}, so candidates compare by
+    integer numerator alone and the choice is exact; the first candidate
+    reaching the maximum wins.
 
     Count tables.  Group the live sets by class (u, [a in S]).  With
     f2 = f - 2, b's numerator is base + sum_class cnt[b, class] * w[class],
     where cnt[b, class] counts the live sets of that class containing b,
-    base = sum_class N_class * lambda_simple(f2, u - [a in S]), and
-    w = lambda_simple(f2, u-1) - lambda_simple(f2, u) when a is not in S,
-    w = -lambda_simple(f2, u-1) when it is (the 2-cycle kills the set).
+    base = sum_class N_class * L_f2[u - [a in S]], and
+    w = L_f2[u-1] - L_f2[u] when a is not in S,
+    w = -L_f2[u-1] when it is (the 2-cycle kills the set).
     One bincount over the (set, element) pairs of live sets and free
     elements fills cnt for every candidate at once; pairs of dead sets and
     taken points are dropped after each step, so the bincount shrinks as
     the search goes on.  A step costs O(P + f * k) for P live pairs and
     k <= 2 (s + 1) classes (s the largest set size), plus the rescoring
-    below, instead of O(f * m) set visits.  The fixed-point branch is
-    sum_class N_class * lambda_simple(f - 1, u) over the classes with a
-    not in S.
+    below, instead of O(f * m) set visits.  The fixed-point branch's
+    numerator is sum_class N_class * L_{f-1}[u] over the classes with a
+    not in S; it wins iff num * D_{f-2} > best * D_{f-1}.
 
-    Exact scoring by the top limb.  The weights are divided by their gcd g
-    (1 when all are zero), which keeps the argmax and its ties.  With
-    shift = max(0, bit length of the largest |w| - width), one int64
-    matrix product scores b by the top limbs hi = w >> shift: H_b cannot
-    wrap, as b is in held_b <= m live sets and m * 2^width < 2^62, and
-    b's exact score lies in [2^shift * H_b, 2^shift * (H_b + held_b)).
-    `_first_max` rescores the b with H_b + held_b >= max H in Python
-    integers and keeps the first exact maximum.  The gcd stays: on
-    tie-heavy inputs every tied b passes the filter, and wider weights
-    make more steps rescore them.  The numerator is base + g * score.
-    Only the lambda rows f, f - 1 and f - 2 a step reads are built
-    (`_lambda_row`), up to the largest live u; the denominators are sigma(f).
+    Exact scoring by the top limb.  With shift = max(0, bit length of the
+    largest |w| - width), one int64 matrix product scores b by the top
+    limbs hi = w >> shift: H_b cannot wrap, as b is in held_b <= m live
+    sets and m * 2^width < 2^62, and b's exact score lies in
+    [2^shift * H_b, 2^shift * (H_b + held_b)).  `_first_max` rescores the
+    b with H_b + held_b >= max H in Python integers and keeps the first
+    exact maximum.  The numerator is base + score.
 
     The chosen branch's expectation never drops below the pre-branch
     expectation (the branches partition the uniform measure); this is
-    checked at every step, which makes the returned count >= the ceiling
-    of the profile bound unconditionally.  Either check failing raises
+    checked at every step as best * D_f >= pre * D_f' for the chosen
+    branch's f', which makes the returned count >= the ceiling of the
+    profile bound unconditionally.  Either check failing raises
     RuntimeError.  A collection too large for a top limb of two bits
     (m >= 2^60) raises ValueError.
     """
@@ -251,7 +242,6 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
     inc = c.incidence
     sizes = np.diff(inc.indptr)
     classes = 2 * (int(sizes.max(initial=0)) + 1)  # class index 2u + [a in S]
-    sig = _sigma_row(n)
 
     # (set, element) pairs of live sets and free elements, grouped by element
     order = np.argsort(inc.elements, kind="stable")
@@ -275,37 +265,36 @@ def find_simple_permutation(c: Collection) -> tuple[Permutation, int]:
         keys = np.flatnonzero(present)
         groups = [(k >> 1, k & 1, int(present[k])) for k in keys.tolist()]
         umax = groups[-1][0] if groups else 0
-        lam = _lambda_row(f, umax, sig[f])
+        lam, den = _ratio_row(f, umax)
         pre_num = sum(size * lam[u] for u, _, size in groups)
 
         best_b = None
         best_num = -1
-        best_f2 = f - 2
+        best_den = 1
         if f >= 2:
-            lam = _lambda_row(f - 2, umax, sig[f - 2])
+            lam, best_den = _ratio_row(f - 2, umax)
             base = sum(size * lam[u - a_in] for u, a_in, size in groups)
-            # b in S turns lam(f2, u - [a in S]) into lam(f2, u - 1), or kills S
+            # b in S turns L_f2[u - [a in S]] into L_f2[u - 1], or kills S
             weights = [
                 (0 if a_in else lam[u - 1]) - lam[u - a_in] if u else 0
                 for u, a_in, _ in groups
             ]
-            g = gcd(*weights) or 1
             col_of[keys] = np.arange(len(keys))
             at = col_of[cls[ps]]  # in place: the pair arrays dominate memory
             at += pe * len(keys)
             cnt = np.bincount(at, minlength=n * len(keys)).reshape(n, len(keys))
             cand = free[1:]
-            i, score = _first_max(cnt[cand], [w // g for w in weights], width)
-            best_b, best_num = cand[i], base + g * score
+            i, score = _first_max(cnt[cand], weights, width)
+            best_b, best_num = cand[i], base + score
         if f % 2 == 1:
-            lam = _lambda_row(f - 1, umax, sig[f - 1])
+            lam, den1 = _ratio_row(f - 1, umax)
             num = sum(size * lam[u] for u, a_in, size in groups if not a_in)
-            # different denominator: compare num/sig[f-1] with best/sig[f-2]
-            if best_b is None or num * sig[f - 2] > best_num * sig[f - 1]:
-                best_b, best_num, best_f2 = _FIXED, num, f - 1
+            # different denominator: compare num/den1 with best/best_den
+            if best_b is None or num * best_den > best_num * den1:
+                best_b, best_num, best_den = _FIXED, num, den1
 
-        # conditional expectation may only rise: best/sig[f2] >= pre/sig[f]
-        if best_num * sig[f] < pre_num * sig[best_f2]:
+        # conditional expectation may only rise: best/best_den >= pre/den
+        if best_num * den < pre_num * best_den:
             raise RuntimeError("greedy step lost expectation")
 
         live[a_sets] -= 1

@@ -86,6 +86,8 @@ def test_upper_bound_small_c():
     assert upper_bound_small_c(0.5, 0.25) == 3.0
     with pytest.raises(ValueError):
         upper_bound_small_c(0.25, 0.5)
+    with pytest.raises(ValueError):  # blocks larger than the ground set
+        upper_bound_small_c(2.0, 0.5)
     # strictly decreasing in c
     prev = float("inf")
     for i in range(1, 50):

@@ -511,6 +511,11 @@ def test_bounds_lower_rejects_dense_regime(capsys):
     assert code == 2
 
 
+def test_bounds_upper_rejects_blocks_past_the_ground_set(capsys):
+    code = main(["bounds", "upper", "--alpha", "1/2", "--c", "2"])
+    assert code == 2 and "size cap" not in capsys.readouterr().out
+
+
 def test_bounds_json(capsys):
     code, out = run(capsys, "--json", "bounds", "upper", "--alpha", "1/3", "--c", "0.0825")
     assert code == 0

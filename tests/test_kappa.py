@@ -232,13 +232,25 @@ def test_find_simple_matches_reference_on_cube_directions():
         assert p.image == q.image and count == expected, d
 
 
-def test_lambda_row_recurrence():
-    sig = kappa._sigma_row(1000)
-    assert sig == [sigma(f) for f in range(1001)]
-    for f in range(60):
-        assert kappa._lambda_row(f, f, sig[f]) == [lambda_simple(f, u) for u in range(f + 1)], f
+def test_ratio_row_is_lambda_over_sigma():
+    def check(f, umax):
+        row, den = kappa._ratio_row(f, umax)
+        assert len(row) == umax + 1, (f, umax)
+        for u, r in enumerate(row):
+            assert Fraction(r, den) == Fraction(lambda_simple(f, u), sigma(f)), (f, umax, u)
+
+    for f in range(80):
+        for umax in sorted({0, 1, 5, 26, f}):  # u past floor(f/2) reads zero
+            check(f, umax)
     for f in (199, 200, 201, 1000):
-        assert kappa._lambda_row(f, 26, sig[f]) == [lambda_simple(f, u) for u in range(27)], f
+        check(f, 26)
+    # the bound reads the same row, up to its largest size present
+    rng = random.Random(33)
+    for n in [rng.randint(2, 1000) for _ in range(12)] + [999, 1000]:
+        top = rng.randint(1, min(n // 2, 40))
+        counts = tuple(rng.randint(0, 10**6) if i < top else 0 for i in range(n // 2))
+        expected = Fraction(sum(m * lambda_simple(n, i) for i, m in enumerate(counts, 1)), sigma(n))
+        assert kappa_lower_bound(SizeProfile(n, counts)) == expected, (n, top)
 
 
 def test_first_max_top_limb_filter_is_exact():
@@ -320,9 +332,13 @@ def test_find_simple_self_checks_raise(tmp_path, capsys, monkeypatch):
     f = tmp_path / "c.txt"
     f.write_text("4\n0\n1 2\n")
     # numerators inflated only at f = 4 make the first step lose expectation
-    real = kappa._lambda_row
-    monkeypatch.setattr(kappa, "_lambda_row",
-                        lambda f, umax, first: [x * 10**6 if f == 4 else x for x in real(f, umax, first)])
+    real = kappa._ratio_row
+
+    def inflated(f, umax):
+        row, den = real(f, umax)
+        return [x * 10**6 if f == 4 else x for x in row], den
+
+    monkeypatch.setattr(kappa, "_ratio_row", inflated)
     with pytest.raises(RuntimeError, match="greedy step lost expectation"):
         find_simple_permutation(c)
     assert main(["kappa", "--input", str(f)]) == 4
