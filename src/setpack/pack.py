@@ -52,7 +52,6 @@ from .setcore import Collection, FormatError, Incidence, Subset, ascii_bytes, wr
 DEFAULT_GREEDY_BUDGET = 200_000
 ROW_BLOCK_CELLS = 1 << 18  # cells of one row block of _max_pair's counts
 _BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # where str.splitlines ends a line of ASCII text
-_READ_BLOCK = 1 << 20  # bytes verify_family_file counts the lines of at once
 
 
 class PackingFamily(Collection):
@@ -555,7 +554,7 @@ def family_chunks(f: PackingFamily) -> Iterator[bytes]:
     yield setcore.file_head(f.n, header)
     q, parts = len(f.subs), len(f.coefficients) + 2
     cells = setcore.digit_cells(f.subs + np.arange(parts)[:, None, None] * f.part)  # [part][sub-block][point]
-    cells[-1, :, -1, -1, 4] = 10  # a block's last point ends its line
+    cells[-1, :, -1, -1, -1] = 10  # a block's last point ends its line
     cells = np.concatenate([cells, cells], axis=1).reshape(2 * q * parts, -1)  # each part's q rows twice
     table = constituent_table(q, f.coefficients, 0, q + 1)
     first, moves = table[:q] + np.arange(parts) * 2 * q, table[q]  # blocks (0, m) and (1, 0), per part's rows
@@ -594,27 +593,31 @@ def verify_family_file(fh, alpha=None) -> tuple[PackingFamily, PackingReport]:
 
 
 def _rendered_report(fh, alpha) -> tuple[ProductFamily, PackingReport] | None:
-    """The product the file fh holds and its report, or None.  Refused
-    before any gather: a file of other than q*q lines after its header and
-    ground-set lines, q a prime above the part count.  The q sub-blocks S
-    are part 1 of blocks (0, m), the first q lines, under the header's
-    alpha or the given one: each increasing in [0, p), they must pass the
-    build's proof (_proof_fault) and blocks 0 and 1 reach U.  The numbers
-    are read by int() and the header by a search, unchecked: the check is
-    that every byte of the file is the product's file (family_chunks),
-    compared as it is rendered, which parse_family reads as that product."""
-    lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(_READ_BLOCK), b""))
-    q = isqrt(max(lines - 2, 0))
-    if q * q + 2 != lines or q < 3 or not _is_prime(q):  # 2 parts at least
-        return None
+    """The product the file fh holds and its report, or None.  Its head, the
+    header, n and blocks (0, m), which share part 0, up to block (1, 0), the
+    first line whose part 0 differs, gives q, a prime above the part count,
+    within isqrt(file size) + 1 lines.  Under the header's alpha or the given
+    one, the q sub-blocks S are part 1 of blocks (0, m): each increasing in
+    [0, p), they must pass the build's proof (_proof_fault) and blocks 0 and
+    1 reach U.  The numbers are read by int() and the header by a search,
+    unchecked: the check is that every byte of the file, read once more, is
+    the product's file (family_chunks), which parse_family reads as it."""
+    end = fh.seek(0, 2)
     fh.seek(0)
     header, n = fh.readline(), int(fh.readline())
     alpha = Fraction(alpha if alpha is not None else re.search(rb" alpha=(\S+)", header)[1].decode())
-    blocks = np.array([fh.readline().split() for _ in range(q)], np.int64)  # blocks (0, m)
-    parts, size = 2 * alpha.denominator, blocks.shape[1]
-    if alpha.numerator != 1 or q <= parts or size % parts or n % parts:
+    parts, head = 2 * alpha.denominator, [fh.readline().split()]
+    size, s = len(head[0]), len(head[0]) // parts
+    if alpha.numerator != 1 or not s or size % parts or n % parts:
         return None
-    s, p, coeffs = size // parts, n // parts, _coefficients(parts)
+    while len(head) <= isqrt(end) and (line := fh.readline().split())[:s] == head[0][:s]:
+        head.append(line)
+    q = len(head)
+    if q <= parts or not _is_prime(q):
+        return None
+    blocks = np.array(head, np.int64)  # blocks (0, m)
+    del head  # the token lists: the array holds them now
+    p, coeffs = n // parts, _coefficients(parts)
     subs = blocks[:, s : 2 * s] - p
     if subs[:, 0].min() < 0 or subs[:, -1].max() >= p or (subs[:, 1:] <= subs[:, :-1]).any():
         return None

@@ -33,10 +33,10 @@ def bit_positions(bits: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
-def _scatter(count: int, width: int, row: np.ndarray | int, positions: np.ndarray) -> np.ndarray:
-    """``count`` little-endian rows of ``width`` bytes, bit positions[i] of row[i] set by one bitwise_or.at."""
+def _scatter(count: int, width: int, row: np.ndarray | int, positions: np.ndarray, at=np.bitwise_or.at) -> np.ndarray:
+    """``count`` little-endian rows of ``width`` bytes, bit positions[i] of row[i] set by one ``at``: np.add.at where none repeats."""
     rows = np.zeros((count, width), np.uint8)
-    np.bitwise_or.at(rows.reshape(-1), row * width + (positions >> 3), np.left_shift(1, positions & 7).astype(np.uint8))
+    at(rows.reshape(-1), row * width + (positions >> 3), np.left_shift(1, positions & 7).astype(np.uint8))
     return rows
 
 
@@ -101,7 +101,7 @@ class Incidence:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return _scatter(len(self.indptr) - 1, 8 * ((self.n + 63) // 64), self.sets, self.elements)
+        return _scatter(len(self.indptr) - 1, 8 * ((self.n + 63) // 64), self.sets, self.elements, np.add.at)
 
 
 def _record(n: int, lists: list[list[int]]) -> Incidence:
@@ -119,7 +119,8 @@ def _record(n: int, lists: list[list[int]]) -> Incidence:
         raise ValueError(f"element {x} outside ground set [0, {top})")
     owner = np.repeat(np.arange(len(sizes)), sizes)
     if not ((elements[1:] > elements[:-1]) | (owner[1:] != owner[:-1])).all():
-        order = np.argsort(elements)  # unstable: equal (owner, element) pairs are repeats
+        # a radix sort when the elements fit 16 bits; unstable otherwise, as equal pairs are repeats
+        order = np.argsort(elements.astype(np.uint16), kind="stable") if n <= 1 << 16 else np.argsort(elements)
         # then stably by owner, narrowed so that up to 2^16 sets take a radix sort
         order = order[np.argsort(owner[order].astype(np.min_scalar_type(len(sizes) - 1)), kind="stable")]
         elements, owner = elements[order], owner[order]
@@ -437,12 +438,13 @@ def _digit_table() -> np.ndarray:
 
 
 def digit_cells(e: np.ndarray) -> np.ndarray:
-    """Cells of the numbers e >= 0, uint8 of shape e.shape + (groups, 5): a
+    """Cells of the numbers e >= 0, uint8 of shape e.shape + (groups, width): a
     ``_digit_table`` row per base-10^4 group, the lowest last, NUL above a
     number's first digit and in all separators but the last."""
-    if e.max(initial=0) < 10**4:
-        return np.take(_digit_table(), e[..., None], axis=0)
-    g = e[..., None] // 10 ** (4 * np.arange((len(str(int(e.max()))) - 1) // 4, -1, -1))
+    digits = len(str(int(e.max(initial=0))))
+    if digits <= 4:  # one group: the rows up to 10^digits, cut to their digits and the separator
+        return np.take(_digit_table()[: 10**digits, 4 - digits :], e[..., None], axis=0)
+    g = e[..., None] // 10 ** (4 * np.arange((digits - 1) // 4, -1, -1))
     rows = np.take(_digit_table(), g % 10**4, axis=0)
     rows[..., :-1, 4] = 0  # one separator, after the lowest group
     rows[..., :4] |= (g >= 10**4)[..., None] * np.uint8(48)  # inner groups keep their zeros
@@ -465,7 +467,7 @@ def write_collection(c: Collection, header_comments: Iterable[str] = ()) -> byte
     for a in range(0, inc.elements.size, _WRITE_BLOCK):
         rows = digit_cells(inc.elements[a : a + _WRITE_BLOCK])
         lo, hi = np.searchsorted(last, [a, a + len(rows)])
-        rows[last[lo:hi] - a, -1, 4] = 10
+        rows[last[lo:hi] - a, -1, -1] = 10
         chunks.append(rows.tobytes().translate(None, b"\0"))
     return b"".join(chunks)
 

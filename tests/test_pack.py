@@ -367,19 +367,66 @@ def test_verify_renders_written_files_and_parses_every_other(product_files, monk
 
 
 def test_verify_falls_back_on_any_exception(monkeypatch, tmp_path, capsys):
-    # line counts across read blocks, and an exception on the fast path,
-    # which the whole parse answers
+    # the fast path on its own, and an exception on it, which the whole
+    # parse answers
     path, calls = tmp_path / "fam.txt", []
     for n, alpha in ((28, "1/2"), (100, "1/4"), (400, "1/2")):
         path.write_bytes(pack.write_family(construct_packing(n, Fraction(alpha))))
         want = verify_runs(capsys, path, None)
         with monkeypatch.context() as m:
             m.setattr(pack, "verify_packing", lambda f: calls.append(f) or verify_packing(f))
-            m.setattr(pack, "_READ_BLOCK", 7)
             calls.clear()
             assert verify_runs(capsys, path, None) == want and not calls, (n, alpha)
             m.setattr(pack, "family_chunks", lambda f: iter([1 / 0]))
             assert verify_runs(capsys, path, None) == want and len(calls) == 2, (n, alpha)
+
+
+class CountingFile:
+    """A binary file that counts the bytes read from it."""
+
+    def __init__(self, fh):
+        self.fh, self.read_bytes = fh, 0
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        self.read_bytes += len(data)
+        return data
+
+    def readline(self):
+        line = self.fh.readline()
+        self.read_bytes += len(line)
+        return line
+
+    def seek(self, *args):
+        return self.fh.seek(*args)
+
+
+def test_verify_reads_a_product_file_about_once(monkeypatch, tmp_path, capsys):
+    # q is read off the head, the header, n and blocks (0, m) and (1, 0);
+    # the comparison then reads the file once.  A line added or dropped,
+    # or a head that gives a q that is not prime, gets the whole parse's report
+    path = tmp_path / "fam.txt"
+    for n, alpha in ((28, "1/2"), (400, "1/2"), (1000, "1/8")):
+        text = pack.write_family(construct_packing(n, Fraction(alpha)))
+        lines = text.splitlines(keepends=True)
+        q = isqrt(len(lines) - 2)
+        path.write_bytes(text)
+        with open(path, "rb") as raw:
+            fh = CountingFile(raw)
+            family, report = pack.verify_family_file(fh)
+        assert isinstance(family, pack.ProductFamily) and report.ok, (n, alpha)
+        assert len(text) < fh.read_bytes <= len(text) + len(b"".join(lines[: q + 3])), (n, alpha)
+        for edited in (
+            text + lines[-1],  # a block added at the end
+            b"".join(lines[:-1]),  # the last block dropped
+            b"".join(lines[:3] + lines[4:]),  # block (0, 1) dropped: the head gives q - 1
+            b"".join(lines[:3] + lines[2:]),  # block (0, 0) twice: the head gives q + 1
+        ):
+            path.write_bytes(edited)
+            got = verify_runs(capsys, path, None)
+            with monkeypatch.context() as m:
+                m.setattr(pack, "_rendered_report", lambda fh, alpha: None)
+                assert got == verify_runs(capsys, path, None), (n, alpha)
 
 
 def test_verify_parses_other_renderings_whole(monkeypatch, tmp_path, capsys):
